@@ -131,14 +131,14 @@ func main() {
 		d.Tick()
 		if (i+1)%every == 0 {
 			decided, met := fleet(d)
-			chip, _ := d.ChipStatus()
+			chip := d.ChipStatuses()[0]
 			fmt.Printf("%5d  %7d/%d  %7d/%d  %8.1f  %8.2f  %8.3f  %8.3f\n",
 				i+1, decided, *apps, met, *apps, chip.CoreEquivalents, chip.PowerW, chip.MemRho, chip.NoCRho)
 		}
 	}
 
 	decided, met := fleet(d)
-	chip, _ := d.ChipStatus()
+	chip := d.ChipStatuses()[0]
 	stats := d.Stats()
 	fmt.Printf("\n=== chipserve: %d apps on one %d-tile chip ===\n", *apps, chip.Tiles)
 	fmt.Printf("oda loop   %d ticks, %d decisions, %d beats (all chip-emitted)\n",
@@ -241,7 +241,7 @@ func runColocate(tiles int, accel, memBWGBps float64) {
 			inBand++
 		}
 	}
-	chip, _ := d.ChipStatus()
+	chip := d.ChipStatuses()[0]
 	for _, st := range d.List() {
 		fmt.Printf("  %s: rate %.1f in [%.1f, %.1f], %d cores granted %d units, slowdown %.3f\n",
 			st.Name, st.Observation.WindowRate, st.Goal.MinRate, st.Goal.MaxRate,

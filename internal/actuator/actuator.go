@@ -118,9 +118,9 @@ type Actuator struct {
 	current int // current setting index
 }
 
-// Validate checks the declaration for internal consistency. Every
-// registry rejects invalid actuators, so downstream code can assume these
-// invariants.
+// Validate checks the declaration for internal consistency. NewSpace
+// and the ladder/knob constructors reject invalid actuators, so
+// downstream code can assume these invariants.
 func (a *Actuator) Validate() error {
 	if a.Name == "" {
 		return errors.New("actuator: empty name")

@@ -275,73 +275,6 @@ func TestPointsSortedBySpeedup(t *testing.T) {
 	}
 }
 
-func TestRegistryScoping(t *testing.T) {
-	r := NewRegistry()
-	global := knob("dvfs", 1, 2)
-	if err := r.RegisterGlobal(global); err != nil {
-		t.Fatal(err)
-	}
-	appKnob := knob("algo", 1, 1.3)
-	appKnob.Scope = ApplicationScope
-	if err := r.RegisterForApp("encoder", appKnob); err != nil {
-		t.Fatal(err)
-	}
-	// encoder sees both; other apps see only the global knob.
-	if got := r.AvailableTo("encoder"); len(got) != 2 {
-		t.Fatalf("encoder sees %d actuators, want 2", len(got))
-	}
-	if got := r.AvailableTo("barnes"); len(got) != 1 || got[0].Name != "dvfs" {
-		t.Fatalf("barnes sees %v, want only dvfs", got)
-	}
-}
-
-func TestRegistryRejectsScopeMismatch(t *testing.T) {
-	r := NewRegistry()
-	a := knob("x", 1, 2) // GlobalScope by construction
-	if err := r.RegisterForApp("app", a); err == nil {
-		t.Fatal("global-scope actuator accepted via RegisterForApp")
-	}
-	b := knob("y", 1, 2)
-	b.Scope = ApplicationScope
-	if err := r.RegisterGlobal(b); err == nil {
-		t.Fatal("application-scope actuator accepted via RegisterGlobal")
-	}
-}
-
-func TestRegistryDuplicateAndUnregister(t *testing.T) {
-	r := NewRegistry()
-	if err := r.RegisterGlobal(knob("x", 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RegisterGlobal(knob("x", 1, 2)); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	r.Unregister("x")
-	if err := r.RegisterGlobal(knob("x", 1, 2)); err != nil {
-		t.Fatalf("re-registration after Unregister failed: %v", err)
-	}
-}
-
-func TestSpaceFor(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.SpaceFor("app"); err == nil {
-		t.Fatal("SpaceFor with no actuators did not error")
-	}
-	if err := r.RegisterGlobal(knob("cores", 1, 2, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RegisterGlobal(knob("freq", 1, 1.5)); err != nil {
-		t.Fatal(err)
-	}
-	s, err := r.SpaceFor("app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Size() != 6 {
-		t.Fatalf("space size = %d, want 6", s.Size())
-	}
-}
-
 func TestMaxSpeedup(t *testing.T) {
 	a := knob("a", 1, 2, 8, 4)
 	if got := a.MaxSpeedup(); got != 8 {

@@ -129,9 +129,6 @@ func (c *Cache) EnabledKB() int {
 // SizeKB reports the physical capacity.
 func (c *Cache) SizeKB() int { return c.totalSets * c.ways * c.lineBytes / 1024 }
 
-// Ways reports physical associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // setIndex maps a line address to its (enabled) set.
 func (c *Cache) setIndex(lineAddr uint64) int {
 	enabled := uint64(c.totalSets >> c.setShift)
@@ -260,6 +257,3 @@ func (c *Cache) Flush() (writebacks int) {
 
 // Stats returns the cumulative counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the counters (contents are preserved).
-func (c *Cache) ResetStats() { c.stats = Stats{} }

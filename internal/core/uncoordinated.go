@@ -75,6 +75,3 @@ func (u *Uncoordinated) Step() (actuator.Config, []Decision, error) {
 
 // Space returns the full (merged) action space.
 func (u *Uncoordinated) Space() *actuator.Space { return u.space }
-
-// Runtimes exposes the per-knob runtimes (for inspection in tests).
-func (u *Uncoordinated) Runtimes() []*Runtime { return u.subs }

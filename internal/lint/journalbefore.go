@@ -8,8 +8,7 @@ import (
 // JournalBefore enforces the daemon's journal-before-mutate discipline:
 // every control-plane mutation must be written ahead to the WAL before
 // it is applied, or replay diverges from the live daemon. The raw
-// state mutators — directory insert/remove, registry enroll/withdraw,
-// manager membership, the chip's tile ledger — are annotated
+// state mutators — directory insert/remove, manager membership, the chip's tile ledger — are annotated
 // //angstrom:journaled mutator; the persist.go wrappers that commit a
 // record first (and the replay paths that re-execute committed
 // records) are annotated //angstrom:journaled writer. Any other call

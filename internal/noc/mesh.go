@@ -143,9 +143,6 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	return m, nil
 }
 
-// Nodes reports the node count.
-func (m *Mesh) Nodes() int { return m.n }
-
 // Config returns the mesh configuration.
 func (m *Mesh) Config() Config { return m.cfg }
 

@@ -208,9 +208,8 @@ type StatsResponse struct {
 	Journal *JournalStats `json:"journal,omitempty"`
 }
 
-// ChipStatusResponse is one die's tile-ledger snapshot.
-//
-//	GET /v1/chip (single-die daemons), GET /v1/chips (per die)
+// ChipStatusResponse is one die's tile-ledger snapshot; ChipsResponse
+// carries one per die.
 type ChipStatusResponse struct {
 	// Chip is the die index within the fleet.
 	Chip int `json:"chip"`
@@ -222,7 +221,7 @@ type ChipStatusResponse struct {
 	CoreEquivalents float64 `json:"core_equivalents"`
 	// PowerW is uncore plus every partition's attributed power.
 	PowerW float64 `json:"power_w"`
-	// PowerBudgetW is the configured chip-wide budget (0 = unlimited).
+	// PowerBudgetW is the configured per-die budget (0 = unlimited).
 	PowerBudgetW float64 `json:"power_budget_w,omitempty"`
 	// UncoreW is the constant chip overhead.
 	UncoreW float64 `json:"uncore_w"`

@@ -39,10 +39,12 @@ type ChipConfig struct {
 	// CacheOptionsKB is the ascending per-core L2 capacity ladder.
 	// Default: 32, 64, 128.
 	CacheOptionsKB []int
-	// PowerBudgetW, when positive, is a chip-wide power budget: each
-	// tick the daemon splits the budget beyond uncore evenly across
-	// chip-backed applications and caps each decision engine's power
-	// multiplier accordingly.
+	// PowerBudgetW, when positive, is a per-die power budget: each tick
+	// the daemon splits the budget beyond uncore across the die's
+	// chip-backed applications by goal-implied need (each floored at its
+	// cheapest configuration) and caps each decision engine's power
+	// multiplier accordingly. A fleet of N dies shares N× the per-die
+	// envelope beyond uncore, split across dies by the broker first.
 	PowerBudgetW float64
 	// MemBandwidthBps, when positive, overrides the chip model's
 	// aggregate off-chip bandwidth — the capacity the cross-partition
@@ -502,20 +504,13 @@ func (d *Daemon) rebalancePowerCaps(chipApps []*app) {
 			}
 		}
 	}
+	// The fleet shares N× the per-die envelope, and the broker
+	// water-fills it across dies by aggregate goal-implied need (floored
+	// at each die's minimum operating points) before the per-die pass
+	// splits each grant across its tenants. A lightly loaded die's slack
+	// flows to a hot one instead of idling; one die gets the whole
+	// envelope (the broker's n == 1 identity).
 	nChips := len(d.mgrs)
-	if nChips == 1 {
-		over := d.rebalanceChipPower(chipApps, needX, perDie)
-		if over < 1e-6 {
-			over = 0 // float residue of an exactly-filled budget
-		}
-		d.powerOvercommit.Store(math.Float64bits(over))
-		return
-	}
-	// Federated budget: the fleet shares N× the per-die envelope, and
-	// the broker water-fills it across dies by aggregate goal-implied
-	// need (floored at each die's minimum operating points) before the
-	// per-die pass splits each grant across its tenants. A lightly
-	// loaded die's slack flows to a hot one instead of idling.
 	apps := make([][]*app, nChips)
 	nx := make([][]float64, nChips)
 	for i, a := range chipApps {
@@ -541,7 +536,7 @@ func (d *Daemon) rebalancePowerCaps(chipApps []*app) {
 		}
 	}
 	if over < 1e-6 {
-		over = 0
+		over = 0 // float residue of an exactly-filled budget
 	}
 	d.powerOvercommit.Store(math.Float64bits(over))
 }

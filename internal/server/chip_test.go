@@ -114,8 +114,8 @@ func TestChipDaemonConvergesToGoal(t *testing.T) {
 	if st.Chip.IPS <= 0 || st.Chip.PowerW <= 0 || st.Chip.EnergyJ <= 0 {
 		t.Fatalf("sensor sample degenerate: %+v", st.Chip)
 	}
-	if cs, ok := d.ChipStatus(); !ok || cs.Partitions != 1 || cs.PowerW <= cs.UncoreW {
-		t.Fatalf("chip status %+v", cs)
+	if cs := d.ChipStatuses(); len(cs) != 1 || cs[0].Partitions != 1 || cs[0].PowerW <= cs[0].UncoreW {
+		t.Fatalf("chip statuses %+v", cs)
 	}
 }
 
@@ -253,8 +253,8 @@ func TestEnrollModes(t *testing.T) {
 	if err := plain.Enroll(EnrollRequest{Name: "x", Mode: ModeChip, MinRate: 10}); err == nil {
 		t.Fatal("chip mode accepted without a chip")
 	}
-	if _, ok := plain.ChipStatus(); ok {
-		t.Fatal("chip status on an advisory daemon")
+	if cs := plain.ChipStatuses(); cs != nil {
+		t.Fatalf("chip statuses %+v on an advisory daemon", cs)
 	}
 }
 
@@ -378,8 +378,7 @@ func TestChipPowerBudget(t *testing.T) {
 				met++
 			}
 		}
-		cs, _ := d.ChipStatus()
-		return met, cs.PowerW
+		return met, d.ChipStatuses()[0].PowerW
 	}
 	met, power := run(20)
 	if met != 4 {
@@ -437,7 +436,7 @@ func TestChipContentionCoLocation(t *testing.T) {
 	if stSolo.Chip.Slowdown < 0.99 {
 		t.Fatalf("solo slowdown %g, want ~1 (no co-tenant)", stSolo.Chip.Slowdown)
 	}
-	soloChip, _ := solo.ChipStatus()
+	soloChip := solo.ChipStatuses()[0]
 
 	// Co-located, the fleet breathes around the band (the contention
 	// couples the two control loops), so assert over a window rather
@@ -460,8 +459,7 @@ func TestChipContentionCoLocation(t *testing.T) {
 			inBand++
 		}
 		slowSum += (stA.Chip.Slowdown + stB.Chip.Slowdown) / 2 / tail
-		cs, _ := duo.ChipStatus()
-		rhoSum += cs.MemRho / tail
+		rhoSum += duo.ChipStatuses()[0].MemRho / tail
 	}
 	if inBand < tail*6/10 {
 		t.Fatalf("co-located apps jointly in band only %d/%d ticks", inBand, tail)

@@ -250,7 +250,6 @@ type Daemon struct {
 	// jd is the durability layer (persist.go), nil without DataDir.
 	jd *durability
 
-	reg   *heartbeat.Registry
 	fleet *angstrom.Fleet // non-nil iff cfg.Chip != nil
 
 	dir *directory // sharded app index; lock-free reads
@@ -291,8 +290,8 @@ type Daemon struct {
 	// d.mu). The migration scan prices these instead of the last
 	// contention pass: instantaneous offered demand swings tick to tick
 	// as bang-bang schedules alternate configurations, and pricing that
-	// noise made balanced dies look transiently imbalanced. Nil unless
-	// the fleet has more than one die; persisted by snapshots and
+	// noise made balanced dies look transiently imbalanced. One entry
+	// per die (nil for advisory daemons); persisted by snapshots and
 	// rebuilt by opTick replay.
 	loadAvgMem []float64
 	loadAvgNoC []float64
@@ -355,7 +354,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:     cfg,
 		workers: cfg.TickWorkers,
-		reg:     heartbeat.NewRegistry(),
 		dir:     newDirectory(cfg.Shards),
 		started: time.Now(),
 		stop:    make(chan struct{}),
@@ -392,10 +390,8 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		if d.fleet, err = angstrom.NewFleet(*cfg.Chip.Params, cfg.Chip.Tiles, chips); err != nil {
 			return nil, err
 		}
-		if chips > 1 {
-			d.loadAvgMem = make([]float64, chips)
-			d.loadAvgNoC = make([]float64, chips)
-		}
+		d.loadAvgMem = make([]float64, chips)
+		d.loadAvgNoC = make([]float64, chips)
 	}
 	d.mgrs = make([]*core.Manager, chips)
 	for i := range d.mgrs {
@@ -416,9 +412,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	return d, nil
 }
-
-// Registry exposes the shared application directory (observer side).
-func (d *Daemon) Registry() *heartbeat.Registry { return d.reg }
 
 // Clock exposes the daemon's clock (read-only).
 func (d *Daemon) Clock() sim.Nower { return d.clock }
@@ -525,7 +518,7 @@ func validGoal(minRate, maxRate float64) error {
 //angstrom:journaled writer
 //angstrom:deterministic
 func (d *Daemon) Enroll(req EnrollRequest) error {
-	// The name is an URL path segment and the registry key; accept only
+	// The name is an URL path segment and the directory key; accept only
 	// names that round-trip unchanged (no whitespace, no separators) so
 	// the client's name and the enrolled name can never diverge.
 	name := req.Name
@@ -645,17 +638,11 @@ func (d *Daemon) Enroll(req EnrollRequest) error {
 		a.prio = req.Priority
 	}
 	a.mgrID, _ = mgr.AppID(name)
-	if err := d.reg.Enroll(name, mon); err != nil {
-		mgr.RemoveApp(name)
-		d.unbindChip(a)
-		return err
-	}
 	d.appSeq++
 	a.seq = d.appSeq
 	if !d.dir.insert(name, a) {
 		// Unreachable while enrolls serialize on d.mu, but keep the
 		// bookkeeping honest if that ever changes.
-		d.reg.Withdraw(name)
 		mgr.RemoveApp(name)
 		d.unbindChip(a)
 		return fmt.Errorf("server: %q %w", name, ErrDuplicate)
@@ -712,7 +699,6 @@ func (d *Daemon) withdraw(name string, evict bool) error {
 		return err
 	}
 	d.dir.remove(name)
-	d.reg.Withdraw(name)
 	d.mgrs[a.chip].RemoveApp(name)
 	d.unbindChip(a)
 	if a.partition() != nil {
@@ -968,7 +954,7 @@ func (d *Daemon) tickAt(now sim.Time) {
 	// Fold this tick's offered utilization into the per-die EWMAs the
 	// migration scan prices (under d.mu so snapshots capture a
 	// consistent value; replayed ticks rebuild it identically).
-	if d.loadAvgMem != nil {
+	if d.fleet != nil {
 		d.loadBuf = d.fleet.Loads(d.loadBuf[:0])
 		for i, l := range d.loadBuf {
 			d.loadAvgMem[i] += loadAvgAlpha * (l.MemRho - d.loadAvgMem[i])
@@ -982,14 +968,12 @@ func (d *Daemon) tickAt(now sim.Time) {
 	}
 	// Broker pass: split the global core pool across the per-chip
 	// managers by last tick's aggregate corrected demand. A single
-	// manager keeps its full pool (the broker is the identity), so the
-	// one-chip daemon arbitrates bit-identically to the pre-fleet code.
-	if len(d.mgrs) > 1 {
-		units := d.broker.SplitUnits(d.cfg.Cores, d.mgrs)
-		for i, m := range d.mgrs {
-			if m.Apps() > 0 {
-				_ = m.SetBudget(units[i])
-			}
+	// manager is granted the full pool (the broker's n == 1 identity),
+	// which is exactly its unset budget.
+	units := d.broker.SplitUnits(d.cfg.Cores, d.mgrs)
+	for i, m := range d.mgrs {
+		if m.Apps() > 0 {
+			_ = m.SetBudget(units[i])
 		}
 	}
 	// Publish each manager's allocations into its ID-indexed table:
@@ -1318,17 +1302,6 @@ func (d *Daemon) chipView(a *app, part *angstrom.Partition) *ChipView {
 		MemRho:    in.MemRho,
 		NoCRho:    in.NoCRho,
 	}
-}
-
-// ChipStatus reports the shared chip's ledger for a single-die daemon,
-// or ok=false when the daemon is not chip-backed or runs more than one
-// die (clients of a fleet must use ChipStatuses — the legacy view would
-// silently hide every other die).
-func (d *Daemon) ChipStatus() (ChipStatusResponse, bool) {
-	if d.fleet == nil || d.fleet.Chips() != 1 {
-		return ChipStatusResponse{}, false
-	}
-	return d.chipStatusAt(0), true
 }
 
 // ChipStatuses reports every die's ledger, in die order (nil when the

@@ -183,8 +183,8 @@ func TestWithdrawFreesPool(t *testing.T) {
 	if err := d.Withdraw("a0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d.Registry().Lookup("a0"); ok {
-		t.Fatal("registry still lists withdrawn app")
+	if _, err := d.Status("a0"); !errors.Is(err, ErrNotEnrolled) {
+		t.Fatalf("withdrawn app status: %v, want ErrNotEnrolled", err)
 	}
 	if err := d.Enroll(EnrollRequest{Name: "replacement", MinRate: 10}); err != nil {
 		t.Fatalf("pool not freed by withdraw: %v", err)

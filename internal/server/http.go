@@ -12,8 +12,7 @@ import (
 //	GET    /healthz               liveness
 //	GET    /readyz                readiness (503 until restored + journal healthy)
 //	GET    /v1/stats              daemon counters
-//	GET    /v1/chip               single-die ledger (404 unless -chip with one die)
-//	GET    /v1/chips              fleet-wide per-die ledgers (404 unless -chip)
+//	GET    /v1/chips              per-die ledgers, one entry per die (404 on an advisory daemon)
 //	GET    /v1/apps               all application statuses
 //	POST   /v1/apps               enroll (EnrollRequest)
 //	GET    /v1/apps/{name}        one application's status + decision
@@ -34,21 +33,6 @@ func (d *Daemon) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, d.Stats())
-	})
-	mux.HandleFunc("GET /v1/chip", func(w http.ResponseWriter, r *http.Request) {
-		// Back-compat: pre-fleet clients get exactly the old view as long
-		// as exactly one die is configured. Multi-die daemons refuse it —
-		// a single-chip answer would silently hide the rest of the fleet.
-		st, ok := d.ChipStatus()
-		if !ok {
-			if d.fleet != nil {
-				writeError(w, http.StatusNotFound, errors.New("server: multi-chip fleet; use /v1/chips"))
-				return
-			}
-			writeError(w, http.StatusNotFound, errors.New("server: chip mode not enabled"))
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /v1/chips", func(w http.ResponseWriter, r *http.Request) {
 		sts := d.ChipStatuses()

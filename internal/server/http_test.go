@@ -164,8 +164,8 @@ func TestHTTPPoolExhaustion(t *testing.T) {
 		EnrollRequest{Name: "a2", MinRate: 10}, http.StatusTooManyRequests, nil)
 }
 
-// Chip endpoints over the wire: /v1/chip ledger, per-app chip views,
-// and 404 on an advisory daemon.
+// Chip endpoints over the wire: a one-die daemon's /v1/chips lists
+// exactly one ledger, per-app chip views, and 404 on an advisory daemon.
 func TestHTTPChip(t *testing.T) {
 	d, err := NewDaemon(Config{Cores: 16, Accel: 0.5, Period: time.Hour, Chip: &ChipConfig{Tiles: 16}})
 	if err != nil {
@@ -183,9 +183,13 @@ func TestHTTPChip(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.Tick()
 	}
-	var chip ChipStatusResponse
-	doJSON(t, "GET", ts.URL+"/v1/chip", nil, http.StatusOK, &chip)
-	if chip.Tiles != 16 || chip.Partitions != 1 || chip.CoreEquivalents < 1 {
+	var chips ChipsResponse
+	doJSON(t, "GET", ts.URL+"/v1/chips", nil, http.StatusOK, &chips)
+	if len(chips.Chips) != 1 {
+		t.Fatalf("one-die daemon lists %d chips", len(chips.Chips))
+	}
+	if chip := chips.Chips[0]; chip.Chip != 0 || chip.Tiles != 16 || chip.Partitions != 1 ||
+		chip.CoreEquivalents < 1 || chip.PowerW <= chip.UncoreW || chip.MemBandwidthBps <= 0 {
 		t.Fatalf("chip status %+v", chip)
 	}
 	doJSON(t, "GET", ts.URL+"/v1/apps/a", nil, http.StatusOK, &st)
@@ -199,7 +203,7 @@ func TestHTTPChip(t *testing.T) {
 	}
 
 	_, plain := testServer(t)
-	doJSON(t, "GET", plain.URL+"/v1/chip", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", plain.URL+"/v1/chips", nil, http.StatusNotFound, nil)
 }
 
 // Per-beat timestamps over the wire, including the count/timestamps

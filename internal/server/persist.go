@@ -103,7 +103,7 @@ type snapImage struct {
 	// is nominal; a shorter slice leaves the remaining dies at 1).
 	ChipScales []float64 `json:"chip_scales,omitempty"`
 	// LoadAvgMem/LoadAvgNoC are the per-die smoothed offered
-	// utilizations the migration scan prices (absent for single-die
+	// utilizations the migration scan prices (absent for advisory
 	// daemons); a restore resumes the EWMAs in place so post-restore
 	// scans see what the imaged daemon saw.
 	LoadAvgMem []float64 `json:"load_avg_mem,omitempty"`
@@ -491,7 +491,7 @@ func (d *Daemon) restoreApp(sa snapApp) error {
 	}
 	if sa.Chip != nil {
 		if d.fleet == nil {
-			return fmt.Errorf("server: snapshot has chip app %q but the daemon runs without -chip", sa.Name)
+			return fmt.Errorf("server: snapshot has chip app %q but the daemon runs without -chips", sa.Name)
 		}
 		if sa.Chip.Chip < 0 || sa.Chip.Chip >= d.fleet.Chips() {
 			return fmt.Errorf("server: snapshot places %q on chip %d of %d", sa.Name, sa.Chip.Chip, d.fleet.Chips())
@@ -526,15 +526,9 @@ func (d *Daemon) restoreApp(sa snapApp) error {
 	}
 	a.mgrID, _ = mgr.AppID(sa.Name)
 	a.alloc.ID = a.mgrID
-	if err := d.reg.Enroll(sa.Name, mon); err != nil {
-		mgr.RemoveApp(sa.Name)
-		d.unbindChip(a)
-		return err
-	}
 	d.appSeq++
 	a.seq = d.appSeq
 	if !d.dir.insert(sa.Name, a) {
-		d.reg.Withdraw(sa.Name)
 		mgr.RemoveApp(sa.Name)
 		d.unbindChip(a)
 		return fmt.Errorf("server: %q %w", sa.Name, ErrDuplicate)
@@ -572,10 +566,8 @@ func (d *Daemon) buildImage(seq uint64) snapImage {
 		if derated {
 			img.ChipScales = scales
 		}
-		if d.loadAvgMem != nil {
-			img.LoadAvgMem = append([]float64(nil), d.loadAvgMem...)
-			img.LoadAvgNoC = append([]float64(nil), d.loadAvgNoC...)
-		}
+		img.LoadAvgMem = append([]float64(nil), d.loadAvgMem...)
+		img.LoadAvgNoC = append([]float64(nil), d.loadAvgNoC...)
 	}
 	apps := d.dir.snapshot(make([]*app, 0, d.dir.len()))
 	sort.Slice(apps, func(i, j int) bool { return apps[i].seq < apps[j].seq })

@@ -134,11 +134,9 @@ func TestShardedDirectoryChurnRace(t *testing.T) {
 				default:
 					d.List()
 					d.Stats()
-					if st, ok := d.ChipStatus(); ok {
-						if st.CoreEquivalents > float64(tiles)+1e-6 {
-							t.Errorf("ledger overcommitted mid-churn: %g > %d", st.CoreEquivalents, tiles)
-							return
-						}
+					if st := d.ChipStatuses()[0]; st.CoreEquivalents > float64(tiles)+1e-6 {
+						t.Errorf("ledger overcommitted mid-churn: %g > %d", st.CoreEquivalents, tiles)
+						return
 					}
 				}
 			}

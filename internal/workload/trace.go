@@ -97,9 +97,6 @@ func zipfTable(n int, s float64) []float64 {
 	return t.([]float64)
 }
 
-// SharedLines reports the size of the shared region in lines.
-func (g *TraceGen) SharedLines() int { return g.sharedLines }
-
 // IsShared reports whether a line address falls in the shared region.
 func (g *TraceGen) IsShared(line uint64) bool {
 	return line < uint64(g.sharedLines)

@@ -250,7 +250,3 @@ func (in *Instance) WorkForBeat(n uint64) float64 {
 	}
 	return w
 }
-
-// MeanWorkPerBeat returns the long-run mean instructions per beat
-// (≈ InstrPerBeat; the phase signal has mean 1).
-func (in *Instance) MeanWorkPerBeat() float64 { return in.Spec.InstrPerBeat }
