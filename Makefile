@@ -2,7 +2,7 @@
 #
 #   make build   compile every package
 #   make vet     static analysis
-#   make lint    vet + angstromlint (the repo's contract analyzers)
+#   make lint    vet + gofmt check + angstromlint (the repo's contract analyzers)
 #   make docs    fail if any internal package lacks a package comment
 #   make test    tier-1 verification (build + lint + docs + scenarios + full test suite with -race)
 #   make scenarios  the scenario torture tier: builtin scenarios vs
@@ -14,6 +14,7 @@
 #                       BENCH_*.json snapshot)
 
 GO ?= go
+GOFMT ?= gofmt
 # Default baseline: the latest *committed* snapshot, so bench-json
 # followed by bench-compare never compares a run against itself.
 OLD_BENCH ?= $(lastword $(sort $(shell git ls-files 'BENCH_*.json')))
@@ -29,7 +30,14 @@ vet:
 # angstromlint enforces the repo's own contracts: deterministic scopes,
 # zero-allocation hot paths, journal-before-mutate, and clock
 # discipline (see ARCHITECTURE.md, "Static analysis & contracts").
+# Before it, every tracked Go file outside testdata/ must be
+# gofmt-clean (the analyzer fixtures under testdata/ keep the exact
+# layout their expectations point at).
 lint: vet
+	@unformatted=$$($(GOFMT) -l $$(git ls-files '*.go' | grep -Ev '(^|/)testdata/')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "files not gofmt-clean (run gofmt -w):"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/angstromlint ./...
 
 # Godoc coverage gate: every internal package must carry a package

@@ -74,34 +74,13 @@ func FromKnob(k Knob, labels []string, speedup, power []float64, delaySeconds fl
 	if len(labels) != k.Levels() {
 		return nil, fmt.Errorf("actuator %q: %d labels for %d levels", k.Name(), len(labels), k.Levels())
 	}
-	if len(labels) != len(speedup) || len(labels) != len(power) {
-		return nil, fmt.Errorf("actuator %q: knob slices disagree (%d labels, %d speedups, %d powers)",
-			k.Name(), len(labels), len(speedup), len(power))
+	a, err := ladder(k.Name(), labels, speedup, power)
+	if err != nil {
+		return nil, err
 	}
-	nominal := -1
-	settings := make([]Setting, len(labels))
-	for i := range labels {
-		settings[i] = Setting{
-			Label:  labels[i],
-			Value:  i,
-			Effect: Effect{Speedup: speedup[i], PowerX: power[i], Distort: 1},
-		}
-		if speedup[i] == 1 && power[i] == 1 {
-			nominal = i
-		}
-	}
-	if nominal < 0 {
-		return nil, fmt.Errorf("actuator %q: no nominal rung (speedup and power both 1)", k.Name())
-	}
-	a := &Actuator{
-		Name:         k.Name(),
-		Settings:     settings,
-		NominalIndex: nominal,
-		Apply:        k.SetLevel,
-		DelaySeconds: delaySeconds,
-		Scope:        scope,
-		Axes:         []Axis{Performance, Power},
-	}
+	a.Apply = k.SetLevel
+	a.DelaySeconds = delaySeconds
+	a.Scope = scope
 	a.current = k.Level()
 	if err := a.Validate(); err != nil {
 		return nil, err

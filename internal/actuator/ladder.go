@@ -10,6 +10,25 @@ import "fmt"
 // interface and actuates on its side. Setting i's declared effect is
 // (speedup[i], power[i]); the rung where both are 1 is nominal.
 func NewLadder(name string, labels []string, speedup, power []float64) (*Actuator, error) {
+	a, err := ladder(name, labels, speedup, power)
+	if err != nil {
+		return nil, err
+	}
+	a.Apply = func(int) error { return nil }
+	a.Scope = ApplicationScope
+	a.current = a.NominalIndex
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// ladder builds the settings table NewLadder and FromKnob share: rung i
+// is labelled labels[i], carries Value i, and declares the effect
+// (speedup[i], power[i]) on the performance and power axes; the last
+// rung where both are exactly 1 is nominal. The caller supplies Apply,
+// the scope and the starting rung, then validates.
+func ladder(name string, labels []string, speedup, power []float64) (*Actuator, error) {
 	if len(labels) != len(speedup) || len(labels) != len(power) {
 		return nil, fmt.Errorf("actuator %q: ladder slices disagree (%d labels, %d speedups, %d powers)",
 			name, len(labels), len(speedup), len(power))
@@ -29,17 +48,10 @@ func NewLadder(name string, labels []string, speedup, power []float64) (*Actuato
 	if nominal < 0 {
 		return nil, fmt.Errorf("actuator %q: no nominal rung (speedup and power both 1)", name)
 	}
-	a := &Actuator{
+	return &Actuator{
 		Name:         name,
 		Settings:     settings,
 		NominalIndex: nominal,
-		Apply:        func(int) error { return nil },
-		Scope:        ApplicationScope,
 		Axes:         []Axis{Performance, Power},
-	}
-	a.current = nominal
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return a, nil
+	}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"angstrom/internal/heartbeat"
-	"angstrom/internal/sim"
 	"angstrom/internal/workload"
 )
 
@@ -170,25 +169,6 @@ func TestThermalCoolingFailure(t *testing.T) {
 	}
 	if _, err := NewThermal(45, 0, 1); err == nil {
 		t.Fatal("zero thermal resistance accepted")
-	}
-}
-
-func TestBatteryDrain(t *testing.T) {
-	b, err := NewBattery(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Drain(40) || math.Abs(b.Fraction()-0.6) > 1e-12 {
-		t.Fatalf("fraction = %g after 40 J, want 0.6", b.Fraction())
-	}
-	if b.Drain(100) {
-		t.Fatal("empty battery reported charge")
-	}
-	if b.RemainingJ() != 0 {
-		t.Fatal("battery went negative")
-	}
-	if _, err := NewBattery(0); err == nil {
-		t.Fatal("zero-capacity battery accepted")
 	}
 }
 
@@ -475,89 +455,118 @@ func TestEvaluateDetailedRejectsTinyTrace(t *testing.T) {
 	}
 }
 
-// testChip builds a one-core chip with barnes attached, for regression
-// tests on the ODA hot loop.
-func testChip(t *testing.T) (*Chip, *sim.Clock) {
+// testTiles builds four tiles at a one-core configuration, for the
+// regression tests on ObserveTiles' counter arithmetic.
+func testTiles(t *testing.T) ([]*Tile, Params, workload.Spec, Config) {
 	t.Helper()
-	clock := sim.NewClock(0)
-	ch, err := NewChip(DefaultParams(), Config{Cores: 1, CacheKB: 64, VF: 0}, 4, clock)
+	p := DefaultParams()
+	cfg := Config{Cores: 1, CacheKB: 64, VF: 0}
+	tiles, err := NewTiles(p, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch.Attach(workload.NewInstance(defaultSpec(t, "barnes"), 1), heartbeat.New(clock))
-	return ch, clock
+	return tiles, p, defaultSpec(t, "barnes"), cfg
 }
 
 // Regression: CPI < 1 made (1 - 1/CPI) negative and the float→uint64
 // conversion implementation-defined, corrupting the stall counter with
 // values near 2^64. Stalls must clamp at zero.
-func TestUpdateTilesClampsNegativeStallFraction(t *testing.T) {
-	ch, _ := testChip(t)
-	m := Metrics{IPS: 1e9, CPI: 0.5, PowerW: 10, MissRate: 0.1}
-	ch.updateTiles(m, 1.0)
-	if got := ch.Tiles[0].Counters.Read(CtrStallCycles); got != 0 {
+func TestObserveTilesClampsNegativeStallFraction(t *testing.T) {
+	tiles, p, spec, cfg := testTiles(t)
+	ObserveTiles(tiles, p, spec, cfg, Metrics{IPS: 1e9, CPI: 0.5, PowerW: 10, MissRate: 0.1}, 1.0, 1.0)
+	if got := tiles[0].Counters.Read(CtrStallCycles); got != 0 {
 		t.Fatalf("stall counter = %d with CPI 0.5, want 0", got)
 	}
 	// Sanity: CPI > 1 still records stalls.
-	ch2, _ := testChip(t)
-	ch2.updateTiles(Metrics{IPS: 1e9, CPI: 2, PowerW: 10, MissRate: 0.1}, 1.0)
-	if got := ch2.Tiles[0].Counters.Read(CtrStallCycles); got == 0 {
+	tiles2, _, _, _ := testTiles(t)
+	ObserveTiles(tiles2, p, spec, cfg, Metrics{IPS: 1e9, CPI: 2, PowerW: 10, MissRate: 0.1}, 1.0, 1.0)
+	if got := tiles2[0].Counters.Read(CtrStallCycles); got == 0 {
 		t.Fatal("stall counter = 0 with CPI 2, want > 0")
 	}
 }
 
 // Regression: PowerW below the uncore floor made perCorePower negative
 // and corrupted the per-tile energy counter the same way.
-func TestUpdateTilesClampsNegativePerCorePower(t *testing.T) {
-	ch, _ := testChip(t)
-	p := ch.Params()
+func TestObserveTilesClampsNegativePerCorePower(t *testing.T) {
+	tiles, p, spec, cfg := testTiles(t)
 	m := Metrics{IPS: 1e9, CPI: 2, PowerW: p.UncoreW / 2, MissRate: 0.1}
-	ch.updateTiles(m, 1.0)
-	if got := ch.Tiles[0].Counters.Read(CtrEnergyNJ); got != 0 {
+	ObserveTiles(tiles, p, spec, cfg, m, 1.0, 1.0)
+	if got := tiles[0].Counters.Read(CtrEnergyNJ); got != 0 {
 		t.Fatalf("energy counter = %d with PowerW below uncore, want 0", got)
 	}
-	if got := ch.Tiles[0].Counters.Read(CtrStallCycles); got == 0 {
+	if got := tiles[0].Counters.Read(CtrStallCycles); got == 0 {
 		t.Fatal("stall counter should still accumulate with CPI 2")
 	}
 }
 
-// Regression: advance with IPS <= 0 (or NaN) divided by zero and moved
-// the clock by ±Inf/NaN; it must error without advancing time.
-func TestAdvanceRejectsNonPositiveIPS(t *testing.T) {
-	for _, ips := range []float64{0, -1e9, math.NaN()} {
-		ch, clock := testChip(t)
-		if err := ch.advance(Metrics{IPS: ips}, 1.0); err == nil {
-			t.Fatalf("advance accepted IPS %g", ips)
-		}
-		if clock.Now() != 0 {
-			t.Fatalf("clock moved to %g on rejected IPS %g", clock.Now(), ips)
-		}
-	}
-}
-
-// Regression: a non-positive per-beat work target span the loop forever
-// (tBeat <= 0 never reaches the interval end); it must error instead.
-func TestAdvanceRejectsNonPositiveWork(t *testing.T) {
-	clock := sim.NewClock(0)
-	ch, err := NewChip(DefaultParams(), Config{Cores: 1, CacheKB: 64, VF: 0}, 4, clock)
+// ObserveTiles tracks the configuration's operating point on every
+// tile — powered or gated — the way a DVFS transition retunes the
+// supply and the partner core's view of its main core.
+func TestObserveTilesTracksOperatingPoint(t *testing.T) {
+	tiles, p, spec, cfg := testTiles(t)
+	cfg.VF = len(p.VF) - 1
+	m, err := Evaluate(p, spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := defaultSpec(t, "barnes")
-	bad.InstrPerBeat = -5 // bypasses Validate: NewInstance does not validate
-	ch.Attach(workload.NewInstance(bad, 1), heartbeat.New(clock))
-	if err := ch.advance(Metrics{IPS: 1e9}, 1.0); err == nil {
-		t.Fatal("advance accepted non-positive work per beat")
+	ObserveTiles(tiles, p, spec, cfg, m, 0.1, 0.1)
+	for i, tile := range tiles {
+		if tile.Voltage.ReadV() != p.VF[cfg.VF].Volts || tile.Partner.Main != p.VF[cfg.VF] {
+			t.Fatalf("tile %d at %gV / %+v, want VF %d", i, tile.Voltage.ReadV(), tile.Partner.Main, cfg.VF)
+		}
+	}
+	if tiles[0].Counters.Read(CtrInstructions) == 0 || tiles[1].Counters.Read(CtrInstructions) != 0 {
+		t.Fatal("only the one powered tile should retire instructions")
 	}
 }
 
-// RunInterval still emits beats and accounts energy after the guards.
-func TestRunIntervalStillBeats(t *testing.T) {
-	ch, _ := testChip(t)
-	if _, err := ch.RunInterval(0.5); err != nil {
+// testPartition acquires a one-core barnes partition at full share, for
+// the regression tests on the Advance guards.
+func testPartition(t *testing.T) (*Partition, *heartbeat.Monitor) {
+	t.Helper()
+	return acquire(t, newSharedChip(t, 4), "barnes", 1, 1)
+}
+
+// Regression: advancing at IPS <= 0 (or NaN) divided by zero and moved
+// the execution frontier by ±Inf/NaN; it must error without advancing
+// time. Acquire prices the configuration with the model, so the bad
+// rate is planted in the cached evaluation.
+func TestAdvanceRejectsNonPositiveIPS(t *testing.T) {
+	for _, ips := range []float64{0, -1e9, math.NaN()} {
+		pt, mon := testPartition(t)
+		pt.m.IPS = ips
+		if err := pt.Advance(1.0); err == nil {
+			t.Fatalf("Advance accepted IPS %g", ips)
+		}
+		if pt.Now() != 0 || mon.Count() != 0 {
+			t.Fatalf("frontier moved to %g (%d beats) on rejected IPS %g", pt.Now(), mon.Count(), ips)
+		}
+	}
+}
+
+// Regression: a non-positive per-beat work target spun the loop forever
+// (tBeat <= 0 never reaches the interval end); it must error instead.
+// Acquire validates the spec, so the bad instance is planted afterwards.
+func TestAdvanceRejectsNonPositiveWork(t *testing.T) {
+	pt, _ := testPartition(t)
+	bad := defaultSpec(t, "barnes")
+	bad.InstrPerBeat = -5 // bypasses Validate: NewInstance does not validate
+	pt.inst = workload.NewInstance(bad, 1)
+	if err := pt.Advance(1.0); err == nil {
+		t.Fatal("Advance accepted non-positive work per beat")
+	}
+}
+
+// Advance still emits beats and accounts energy after the guards.
+func TestAdvanceStillBeats(t *testing.T) {
+	pt, mon := testPartition(t)
+	if err := pt.Advance(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if ch.Energy.EnergyJoules() <= 0 {
+	if mon.Count() == 0 {
+		t.Fatal("no beats emitted")
+	}
+	if pt.Sense().EnergyJ <= 0 {
 		t.Fatal("no energy accounted")
 	}
 }

@@ -7,9 +7,12 @@
 // counters, event probes, environmental sensors — §4.1), the action layer
 // (per-core DVFS, reconfigurable caches, adaptive coherence and NoC —
 // §4.2, built on the cache and noc packages), the partner cores that make
-// decision-making cheap (§4.3), and an interval chip simulator that
+// decision-making cheap (§4.3), and an analytical chip model that
 // produces performance and power for any configuration of a workload —
-// the substitute for the Graphite testbed of §5.3.
+// the substitute for the Graphite testbed of §5.3. Execution runs on a
+// SharedChip: each application holds a Partition of its tiles and
+// emits heartbeats as the model's throughput completes its work; one
+// experiment is one partition at full share, a serving fleet is many.
 //
 // The chip model executes inside journal replay and the tick's
 // transcript-equality tests: the whole package is a deterministic

@@ -5,10 +5,11 @@ import (
 	"math"
 )
 
-// This file models the non-traditional sensors of §4.1: "temperature,
-// voltage, battery charge, and energy consumption", deployed per tile so
-// the runtime can observe variation across the chip and react to
-// environmental change (cooling failures, dying batteries).
+// This file models the non-traditional sensors of §4.1 — "temperature,
+// voltage, battery charge, and energy consumption" — except battery
+// charge, which no modelled deployment draws from. They are deployed per
+// tile so the runtime can observe variation across the chip and react to
+// environmental change (cooling failures).
 
 // Thermal is a first-order RC thermal model for one tile:
 //
@@ -46,41 +47,13 @@ func (t *Thermal) ReadC() float64 { return t.tC }
 // the effective ambient).
 func (t *Thermal) SetEnv(envC float64) { t.EnvC = envC }
 
-// Battery models a finite energy source (the paper's "dying batteries"
-// scenario for mobile deployments of the architecture).
-type Battery struct {
-	capacityJ float64
-	chargeJ   float64
-}
-
-// NewBattery builds a full battery with the given capacity in joules.
-func NewBattery(capacityJ float64) (*Battery, error) {
-	if capacityJ <= 0 {
-		return nil, fmt.Errorf("angstrom: non-positive battery capacity")
-	}
-	return &Battery{capacityJ: capacityJ, chargeJ: capacityJ}, nil
-}
-
-// Drain removes energy, clamping at empty, and reports whether the
-// battery is still non-empty.
-func (b *Battery) Drain(j float64) bool {
-	b.chargeJ -= j
-	if b.chargeJ < 0 {
-		b.chargeJ = 0
-	}
-	return b.chargeJ > 0
-}
-
-// Fraction reports remaining charge in [0, 1].
-func (b *Battery) Fraction() float64 { return b.chargeJ / b.capacityJ }
-
-// RemainingJ reports remaining charge in joules.
-func (b *Battery) RemainingJ() float64 { return b.chargeJ }
-
-// EnergySensor is a per-tile cumulative energy counter (§4.1, following
-// the Sandy-Bridge-style energy counters of [31]). It satisfies
-// heartbeat.EnergyMeter, so application monitors can attach directly to
-// a tile's — or the whole chip's — meter.
+// EnergySensor is a cumulative energy meter (§4.1, following the
+// Sandy-Bridge-style energy counters of [31]) for a simulation that
+// integrates energy itself. It satisfies heartbeat.EnergyMeter, so an
+// application monitor can attach to it. The chip model keeps its own
+// accounts: ObserveTiles accumulates each tile's energy in its
+// CtrEnergyNJ counter, and a Partition reports the energy attributed to
+// its application in Sense().EnergyJ.
 type EnergySensor struct {
 	joules float64
 }

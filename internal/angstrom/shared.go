@@ -15,10 +15,10 @@ import (
 // a SharedChip splits its tile pool into per-application Partitions,
 // each an independently configurable slice of the hardware with its own
 // actuation knobs (cores, L2 capacity, DVFS) and its own Sensor view
-// (IPS, power, stall fraction). This is the serving-side counterpart of
-// Chip: where Chip closes the loop around a single simulated experiment,
-// SharedChip lets a long-lived daemon bind every enrolled application to
-// real hardware knobs on one chip — the paper's vision of the runtime
+// (IPS, power, stall fraction). It is the chip model's one execution
+// engine: a single simulated experiment runs as one partition at full
+// share, and a long-lived daemon binds every enrolled application to
+// real hardware knobs the same way — the paper's vision of the runtime
 // arbitrating a 1000-core die across a fleet of self-aware applications.
 //
 // Concurrency model: SharedChip's mutex guards the tile ledger and the
@@ -47,8 +47,8 @@ type SharedChip struct {
 	tiles  int
 	nocCap float64 // mesh flit-hop capacity (contention.go)
 
-	mu    sync.Mutex
-	used  float64 // sum over partitions of Cores × Share
+	mu   sync.Mutex
+	used float64 // sum over partitions of Cores × Share
 	// memScale derates the chip's off-chip bandwidth (thermal throttle,
 	// failed channel, chaos injection). 1 = nominal.
 	memScale float64
@@ -450,6 +450,63 @@ func (pt *Partition) Knobs(coreOptions, cacheOptionsKB []int) (cores, cache, dvf
 	return &coreKnob{pt: pt, options: coreOptions},
 		&cacheKnob{pt: pt, optionsKB: cacheOptionsKB},
 		&vfKnob{pt: pt}, nil
+}
+
+// KnobSpace turns a partition's three knobs into SEEC actuators whose
+// declared effects are the chip model's predicted multipliers relative
+// to the base configuration (the designer-declared model of §3.2; the
+// runtime's RLS layer corrects divergence on line). Each rung's speedup
+// is its heart rate over base's, its power multiplier the ratio of
+// active power beyond uncore; the rung holding base's own setting is
+// the identity. The option slices are the ones the knobs were built
+// from (Partition.Knobs), and the knobs may be wrapped (rate limiting,
+// allocation clamps) as long as their levels still index them.
+func KnobSpace(p Params, spec workload.Spec, base Config, coreOptions, cacheOptionsKB []int,
+	cores, cache, dvfs actuator.Knob) (*actuator.Space, error) {
+	baseM, err := Evaluate(p, spec, base)
+	if err != nil {
+		return nil, err
+	}
+	baseActive := math.Max(baseM.PowerW-p.UncoreW, 1e-9)
+	ladder := func(k actuator.Knob, n int, cfgAt func(int) Config, label func(int) string, delay float64) (*actuator.Actuator, error) {
+		labels := make([]string, n)
+		speed := make([]float64, n)
+		power := make([]float64, n)
+		for i := 0; i < n; i++ {
+			labels[i] = label(i)
+			cfg := cfgAt(i)
+			if cfg == base {
+				speed[i], power[i] = 1, 1
+				continue
+			}
+			m, merr := Evaluate(p, spec, cfg)
+			if merr != nil {
+				return nil, merr
+			}
+			speed[i] = m.HeartRate / baseM.HeartRate
+			power[i] = math.Max(m.PowerW-p.UncoreW, 1e-9) / baseActive
+		}
+		return actuator.FromKnob(k, labels, speed, power, delay, actuator.GlobalScope)
+	}
+	coreAct, err := ladder(cores, len(coreOptions),
+		func(i int) Config { c := base; c.Cores = coreOptions[i]; return c },
+		func(i int) string { return fmt.Sprintf("%d cores", coreOptions[i]) }, 0.001)
+	if err != nil {
+		return nil, err
+	}
+	cacheAct, err := ladder(cache, len(cacheOptionsKB),
+		func(i int) Config { c := base; c.CacheKB = cacheOptionsKB[i]; return c },
+		func(i int) string { return fmt.Sprintf("%dKB L2", cacheOptionsKB[i]) }, 0.0001)
+	if err != nil {
+		return nil, err
+	}
+	vfAct, err := ladder(dvfs, len(p.VF),
+		func(i int) Config { c := base; c.VF = i; return c },
+		func(i int) string { return fmt.Sprintf("%.1fV/%.0fMHz", p.VF[i].Volts, p.VF[i].FHz/1e6) }, 0.0005)
+	if err != nil {
+		return nil, err
+	}
+	return actuator.NewSpace(coreAct, cacheAct, vfAct)
 }
 
 func validOptions(kind string, options []int, current int) error {

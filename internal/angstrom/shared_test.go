@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"angstrom/internal/actuator"
 	"angstrom/internal/heartbeat"
 	"angstrom/internal/sim"
 	"angstrom/internal/workload"
@@ -270,5 +271,74 @@ func TestSharedChipConcurrent(t *testing.T) {
 	wg.Wait()
 	if _, used := sc.Usage(); used > 64 {
 		t.Fatalf("ledger overdrawn: %g > 64", used)
+	}
+}
+
+// KnobSpace declares the model's own predictions: the rung holding the
+// base configuration's setting is the identity on every axis, and every
+// other rung's effect is its heart rate and active power (beyond
+// uncore) relative to the base configuration's. Applying a point drives
+// the partition's knobs.
+func TestKnobSpaceEffectsMatchModel(t *testing.T) {
+	p := DefaultParams()
+	spec, err := workload.ByName("barnes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{Cores: 4, CacheKB: 64, VF: 1}
+	coreOpts := []int{1, 2, 4, 8, 16}
+	cacheOpts := []int{32, 64, 128}
+	sc := newSharedChip(t, 64)
+	pt, err := sc.Acquire("barnes", workload.NewInstance(spec, 1), heartbeat.New(sim.NewClock(0)), base, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores, cache, dvfs, err := pt.Knobs(coreOpts, cacheOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := KnobSpace(p, spec, base, coreOpts, cacheOpts, cores, cache, dvfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseM, err := Evaluate(p, spec, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgAt := []func(int) Config{
+		func(i int) Config { c := base; c.Cores = coreOpts[i]; return c },
+		func(i int) Config { c := base; c.CacheKB = cacheOpts[i]; return c },
+		func(i int) Config { c := base; c.VF = i; return c },
+	}
+	if len(space.Acts) != len(cfgAt) {
+		t.Fatalf("%d actuators, want %d", len(space.Acts), len(cfgAt))
+	}
+	for ai, act := range space.Acts {
+		for i, s := range act.Settings {
+			cfg := cfgAt[ai](i)
+			if cfg == base {
+				if i != act.NominalIndex || s.Effect != actuator.Nominal() {
+					t.Fatalf("%s rung %d holds the base setting: nominal index %d, effect %+v",
+						act.Name, i, act.NominalIndex, s.Effect)
+				}
+				continue
+			}
+			m, err := Evaluate(p, spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			speed := m.HeartRate / baseM.HeartRate
+			power := (m.PowerW - p.UncoreW) / (baseM.PowerW - p.UncoreW)
+			if math.Abs(s.Effect.Speedup-speed) > 1e-12*speed || math.Abs(s.Effect.PowerX-power) > 1e-12*power {
+				t.Fatalf("%s rung %d (%+v): effect %+v, model speedup %g power %g",
+					act.Name, i, cfg, s.Effect, speed, power)
+			}
+		}
+	}
+	if err := space.Apply(actuator.Config{0, 2, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pt.Config(), (Config{Cores: 1, CacheKB: 128, VF: 0}); got != want {
+		t.Fatalf("after Apply the partition runs %+v, want %+v", got, want)
 	}
 }

@@ -49,11 +49,11 @@ type osFS struct{}
 func (osFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
-func (osFS) Create(name string) (File, error)    { return os.Create(name) }
-func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
-func (osFS) Remove(name string) error             { return os.Remove(name) }
-func (osFS) MkdirAll(dir string) error            { return os.MkdirAll(dir, 0o755) }
+func (osFS) Create(name string) (File, error)       { return os.Create(name) }
+func (osFS) ReadFile(name string) ([]byte, error)   { return os.ReadFile(name) }
+func (osFS) Rename(oldname, newname string) error   { return os.Rename(oldname, newname) }
+func (osFS) Remove(name string) error               { return os.Remove(name) }
+func (osFS) MkdirAll(dir string) error              { return os.MkdirAll(dir, 0o755) }
 func (osFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 
 func (osFS) ReadDir(dir string) ([]string, error) {

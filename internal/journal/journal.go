@@ -95,8 +95,8 @@ func Scan(buf []byte) (payloads [][]byte, valid int) {
 	}
 }
 
-func segmentName(start uint64) string  { return fmt.Sprintf("wal-%016x.log", start) }
-func snapshotName(seq uint64) string   { return fmt.Sprintf("snap-%016x.snap", seq) }
+func segmentName(start uint64) string { return fmt.Sprintf("wal-%016x.log", start) }
+func snapshotName(seq uint64) string  { return fmt.Sprintf("snap-%016x.snap", seq) }
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false

@@ -176,9 +176,16 @@ type StatsResponse struct {
 	Chips int `json:"chips,omitempty"`
 	// Shards is the application-directory shard count (the tick fans
 	// its per-app phases across these).
-	Shards    int    `json:"shards,omitempty"`
-	Ticks     uint64 `json:"ticks"`
-	Beats     uint64 `json:"beats"`
+	Shards int    `json:"shards,omitempty"`
+	Ticks  uint64 `json:"ticks"`
+	// Beats counts every heartbeat the daemon has taken in: client
+	// beats over either transport plus the beats chip partitions emit.
+	Beats uint64 `json:"beats"`
+	// ChipBeats is the part of Beats that chip partitions emitted in
+	// this process; Beats − ChipBeats is client ingestion, which the
+	// per-shard counters (Daemon.ShardBeats) sum to once ingestion has
+	// quiesced.
+	ChipBeats uint64 `json:"chip_beats,omitempty"`
 	Decisions uint64 `json:"decisions"`
 	// Migrations counts inter-die partition moves the fleet has applied.
 	Migrations uint64 `json:"migrations,omitempty"`
@@ -190,9 +197,9 @@ type StatsResponse struct {
 	// totals through per-connection deltas, so Beats may trail the
 	// wire's ground truth by up to one flush threshold per connection
 	// until clients issue a flush barrier.
-	WireConns  int    `json:"wire_conns,omitempty"`
-	WireFrames uint64 `json:"wire_frames,omitempty"`
-	ClockSeconds float64 `json:"clock_seconds"`
+	WireConns     int     `json:"wire_conns,omitempty"`
+	WireFrames    uint64  `json:"wire_frames,omitempty"`
+	ClockSeconds  float64 `json:"clock_seconds"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	PeriodSeconds float64 `json:"period_seconds"`
 	Accelerated   bool    `json:"accelerated"`

@@ -123,6 +123,13 @@ func (c *ChipConfig) validate() error {
 	return nil
 }
 
+// base is the canonical configuration a chip-backed app enrolls at, and
+// the one its action space and nominal power are priced against: one
+// core, the smallest L2, the lowest operating point.
+func (c *ChipConfig) base() angstrom.Config {
+	return angstrom.Config{Cores: 1, CacheKB: c.CacheOptionsKB[0], VF: 0}
+}
+
 // seedFor derives a stable per-application workload seed so re-enrolling
 // the same name reproduces the same beat sequence.
 func seedFor(name string) uint64 {
@@ -151,40 +158,26 @@ func (k *cappedKnob) SetLevel(level int) error {
 	return k.Knob.SetLevel(level)
 }
 
-// bindChip acquires a chip partition for a newly enrolling application
-// and builds its hardware-backed action space. Called with d.mu held,
-// only from the Enroll writer (the enrollment record covers the
-// acquisition).
-//
-//angstrom:journaled writer
-func (d *Daemon) bindChip(a *app, spec workload.Spec, now sim.Time) error {
-	cc := d.cfg.Chip
-	base := angstrom.Config{Cores: 1, CacheKB: cc.CacheOptionsKB[0], VF: 0}
-	share, err := d.makeRoom(a.chip)
-	if err != nil {
-		return err
-	}
-	return d.bindChipAt(a, spec, base, share, now)
-}
-
-// bindChipAt binds a to a partition of die a.chip acquired at an
-// explicit start configuration, time share, and time. Fresh enrollments
-// start at the base configuration; snapshot restore and migration
-// re-acquire each partition at its recorded placement, which re-sums
-// the tile ledger to its pre-crash value. The action space (and the
-// nominal power the power rebalance prices from) is always built
+// bindChip binds a to a partition of die a.chip acquired at an explicit
+// start configuration, time share, and time, and builds its
+// hardware-backed action space. Fresh enrollments start at the base
+// configuration in the slot makeRoom carved; snapshot restore and
+// migration re-acquire each partition at its recorded placement, which
+// re-sums the tile ledger to its pre-crash value. The action space (and
+// the nominal power the power rebalance prices from) is always built
 // against the canonical base configuration, so a restored app's
-// controller sees the same effect tables an uncrashed one does. Reached
-// only from journaling writers (Enroll live, restoreApp on recovery,
-// applyMigration).
+// controller sees the same effect tables an uncrashed one does. On
+// error nothing stays acquired. Reached only from attach, under d.mu,
+// on behalf of a journaling writer (Enroll live, restoreApp on
+// recovery, applyMigration).
 //
 //angstrom:journaled writer
-func (d *Daemon) bindChipAt(a *app, spec workload.Spec, start angstrom.Config, share float64, now sim.Time) error {
+func (d *Daemon) bindChip(a *app, start angstrom.Config, share float64, now sim.Time) error {
 	cc := d.cfg.Chip
 	sc := d.fleet.Chip(a.chip)
 	p := *cc.Params
-	base := angstrom.Config{Cores: 1, CacheKB: cc.CacheOptionsKB[0], VF: 0}
-	inst := workload.NewInstance(spec, seedFor(a.name))
+	base := cc.base()
+	inst := workload.NewInstance(a.spec, seedFor(a.name))
 
 	part, err := sc.Acquire(a.name, inst, a.mon, start, share, now)
 	if err != nil {
@@ -203,10 +196,8 @@ func (d *Daemon) bindChipAt(a *app, spec workload.Spec, start angstrom.Config, s
 		return actuator.NewStepped(k)
 	}
 	coreKnob := &cappedKnob{Knob: wrap(coreK), options: cc.CoreOptions, units: a.allocUnits}
-	cacheKnob := wrap(cacheK)
-	vfKnob := wrap(vfK)
-
-	space, err := buildChipSpace(p, spec, base, cc, coreKnob, cacheKnob, vfKnob)
+	space, err := angstrom.KnobSpace(p, a.spec, base, cc.CoreOptions, cc.CacheOptionsKB,
+		coreKnob, wrap(cacheK), wrap(vfK))
 	if err != nil {
 		sc.Release(a.name)
 		return err
@@ -226,7 +217,7 @@ func (d *Daemon) bindChipAt(a *app, spec workload.Spec, start angstrom.Config, s
 	// Nominal active watts at the *base* configuration (what Acquire
 	// caches for a fresh enrollment; recomputed explicitly so a restore
 	// at a non-base placement prices the power split identically).
-	baseM, err := angstrom.Evaluate(p, spec, base)
+	baseM, err := angstrom.Evaluate(p, a.spec, base)
 	if err != nil {
 		sc.Release(a.name)
 		return err
@@ -326,67 +317,6 @@ func (d *Daemon) makeRoom(chip int) (float64, error) {
 // meaningful within one decision period.
 const minChipShare = 0.01
 
-// buildChipSpace turns the partition's knobs into SEEC actuators whose
-// declared effects are the chip model's predicted multipliers relative
-// to the base configuration (the designer-declared model of §3.2; the
-// runtime's RLS layer corrects divergence on line).
-func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config, cc *ChipConfig,
-	coreKnob, cacheKnob, vfKnob actuator.Knob) (*actuator.Space, error) {
-	baseM, err := angstrom.Evaluate(p, spec, base)
-	if err != nil {
-		return nil, err
-	}
-	baseActive := math.Max(baseM.PowerW-p.UncoreW, 1e-9)
-	effect := func(cfg angstrom.Config) (speedup, power float64, _ error) {
-		m, merr := angstrom.Evaluate(p, spec, cfg)
-		if merr != nil {
-			return 0, 0, merr
-		}
-		return m.HeartRate / baseM.HeartRate, math.Max(m.PowerW-p.UncoreW, 1e-9) / baseActive, nil
-	}
-	ladder := func(k actuator.Knob, n int, cfgAt func(int) angstrom.Config, nominalAt func(int) bool,
-		label func(int) string, delay float64) (*actuator.Actuator, error) {
-		labels := make([]string, n)
-		speed := make([]float64, n)
-		power := make([]float64, n)
-		for i := 0; i < n; i++ {
-			labels[i] = label(i)
-			if nominalAt(i) {
-				speed[i], power[i] = 1, 1
-				continue
-			}
-			var eerr error
-			if speed[i], power[i], eerr = effect(cfgAt(i)); eerr != nil {
-				return nil, eerr
-			}
-		}
-		return actuator.FromKnob(k, labels, speed, power, delay, actuator.GlobalScope)
-	}
-
-	coreAct, err := ladder(coreKnob, len(cc.CoreOptions),
-		func(i int) angstrom.Config { c := base; c.Cores = cc.CoreOptions[i]; return c },
-		func(i int) bool { return cc.CoreOptions[i] == base.Cores },
-		func(i int) string { return fmt.Sprintf("%d cores", cc.CoreOptions[i]) }, 0.001)
-	if err != nil {
-		return nil, err
-	}
-	cacheAct, err := ladder(cacheKnob, len(cc.CacheOptionsKB),
-		func(i int) angstrom.Config { c := base; c.CacheKB = cc.CacheOptionsKB[i]; return c },
-		func(i int) bool { return cc.CacheOptionsKB[i] == base.CacheKB },
-		func(i int) string { return fmt.Sprintf("%dKB L2", cc.CacheOptionsKB[i]) }, 0.0001)
-	if err != nil {
-		return nil, err
-	}
-	vfAct, err := ladder(vfKnob, len(p.VF),
-		func(i int) angstrom.Config { c := base; c.VF = i; return c },
-		func(i int) bool { return i == base.VF },
-		func(i int) string { return fmt.Sprintf("%.1fV/%.0fMHz", p.VF[i].Volts, p.VF[i].FHz/1e6) }, 0.0005)
-	if err != nil {
-		return nil, err
-	}
-	return actuator.NewSpace(coreAct, cacheAct, vfAct)
-}
-
 // runChipInterval is the act+observe phase for one chip-backed app:
 // execute the previous decision's schedule (low slice first) over the
 // elapsed wall/simulated interval, advancing the partition so it emits
@@ -399,7 +329,11 @@ func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 		return
 	}
 	beatsBefore := a.mon.Count()
-	defer func() { d.beats.Add(a.mon.Count() - beatsBefore) }()
+	defer func() {
+		n := a.mon.Count() - beatsBefore
+		d.beats.Add(n)
+		d.chipBeats.Add(n)
+	}()
 	var actErr error
 	t := start
 	for _, sl := range a.pending {

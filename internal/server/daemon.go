@@ -167,15 +167,15 @@ type app struct {
 	window int // heartbeat averaging window (persisted by snapshots)
 	// prio is the enrollment's declared water-fill weight (0 = default
 	// 1); persisted by snapshots so a restore re-weights the manager.
-	prio   float64
-	mgrID  int // the Manager's stable handle; indexes the tick's alloc table
+	prio  float64
+	mgrID int // the Manager's stable handle; indexes the tick's alloc table
 	// shard is the directory shard the name hashes to, stamped by
 	// insert so the ingestion path bumps the shard beat counter without
 	// rehashing the name per batch.
-	shard  int
-	spec   workload.Spec
-	mon    *heartbeat.Monitor
-	rt     *core.Runtime // stepped only by the owning tick worker
+	shard int
+	spec  workload.Spec
+	mon   *heartbeat.Monitor
+	rt    *core.Runtime // stepped only by the owning tick worker
 
 	// goalEpoch counts SetGoal calls; the tick's quiescence check uses
 	// it to re-decide after a goal change without re-reading the goal.
@@ -190,8 +190,8 @@ type app struct {
 	// decision's schedule, executed by the next tick; settle is the
 	// schedule's duration-weighted configuration the knobs are parked at
 	// between intervals (tick workers only).
-	part       atomic.Pointer[angstrom.Partition]
-	chip       int
+	part atomic.Pointer[angstrom.Partition]
+	chip int
 	// migratedAt is when the app last moved between dies (zero if
 	// never): the migration scan won't pick it as a victim again until
 	// its controller has had a cooldown to re-converge on the new die.
@@ -263,10 +263,9 @@ type Daemon struct {
 	// non-chip daemon; advisory apps always live in mgrs[0]). broker
 	// splits the global core/power budget across them each tick by
 	// aggregate corrected demand.
-	mgrs      []*core.Manager
-	broker    *core.Broker
-	appSeq    uint64 // enrollment counter behind app.seq (under mu)
-	chipCount atomic.Int64
+	mgrs   []*core.Manager
+	broker *core.Broker
+	appSeq uint64 // enrollment counter behind app.seq (under mu)
 
 	// The tick's allocation table, indexed by [chip][Manager app ID]
 	// (no string hashing on the per-app path): an entry is valid for
@@ -310,6 +309,10 @@ type Daemon struct {
 	// flush barriers, so the line is contended at flush rate rather than
 	// beat rate.
 	beats heartbeat.Counter
+	// chipBeats is the part of beats chip partitions emitted (tick
+	// workers add to both), so Stats can separate it from client
+	// ingestion.
+	chipBeats heartbeat.Counter
 	// wireConns gauges live binary-protocol connections; wireFrames
 	// counts accepted wire batch frames (delta-published per conn).
 	wireConns  atomic.Int64
@@ -328,7 +331,7 @@ type Daemon struct {
 	// budget is satisfiable). Written by the tick goroutine, read by
 	// Stats.
 	powerOvercommit atomic.Uint64
-	started time.Time
+	started         time.Time
 
 	running  atomic.Bool // set by Start; Stop only waits when it ran
 	stopOnce sync.Once
@@ -599,20 +602,45 @@ func (d *Daemon) Enroll(req EnrollRequest) error {
 	// apply failure below replays to the same failure. One timestamp
 	// covers enrollment and chip acquisition so replay reproduces both.
 	now := d.clock.Now()
-	if err := d.journalCommit(record{Op: opEnroll, T: now, Enroll: &req}); err != nil {
+	if err = d.journalCommit(record{Op: opEnroll, T: now, Enroll: &req}); err != nil {
 		return err
 	}
 	a.enrolledAt = now
+	a.prio = req.Priority
+	var start *angstrom.Config
+	share := 1.0
 	if chipBacked {
-		if err := d.bindChip(a, spec, now); err != nil {
+		if share, err = d.makeRoom(a.chip); err != nil {
+			return err
+		}
+		base := d.cfg.Chip.base()
+		start = &base
+	}
+	if err := d.attach(a, start, share, now); err != nil {
+		return err
+	}
+	return d.publish(a)
+}
+
+// attach gives a its decision engine and its manager slot on die
+// a.chip: a partition acquired at start and share with its hardware
+// action space (bindChip), or the advisory ladder when start is nil;
+// then the manager registration under a's priority. On error every
+// step already taken is rolled back. Called under d.mu by the
+// journaling writers (Enroll, restoreApp, applyMigration).
+//
+//angstrom:journaled writer
+func (d *Daemon) attach(a *app, start *angstrom.Config, share float64, now sim.Time) error {
+	if start != nil {
+		if err := d.bindChip(a, *start, share, now); err != nil {
 			return err
 		}
 	} else {
-		space, err := buildSpace(spec)
+		space, err := buildSpace(a.spec)
 		if err != nil {
 			return err
 		}
-		if a.rt, err = core.New(name, d.clock, mon, space, core.Options{}); err != nil {
+		if a.rt, err = core.New(a.name, d.clock, a.mon, space, core.Options{}); err != nil {
 			return err
 		}
 	}
@@ -622,33 +650,45 @@ func (d *Daemon) Enroll(req EnrollRequest) error {
 	// O(cores) VerifyCurve scan runs once per curve, not once per
 	// enrollment (a 10k-app burst re-deriving it cost more than the
 	// enrollments themselves).
-	scaling := spec.CachedSpeedup(d.cfg.Cores)
-	shape := curveShapeFor(spec, d.cfg.Cores, scaling)
+	scaling := a.spec.CachedSpeedup(d.cfg.Cores)
+	shape := curveShapeFor(a.spec, d.cfg.Cores, scaling)
 	mgr := d.mgrs[a.chip]
-	if err := mgr.AddAppWithShape(name, mon, scaling, shape.peak, shape.unimodal); err != nil {
+	if err := mgr.AddAppWithShape(a.name, a.mon, scaling, shape.peak, shape.unimodal); err != nil {
 		d.unbindChip(a)
 		return err
 	}
-	if req.Priority > 0 {
-		if err := mgr.SetPriority(name, req.Priority); err != nil {
-			mgr.RemoveApp(name)
+	if a.prio > 0 {
+		if err := mgr.SetPriority(a.name, a.prio); err != nil {
+			mgr.RemoveApp(a.name)
 			d.unbindChip(a)
 			return err
 		}
-		a.prio = req.Priority
 	}
-	a.mgrID, _ = mgr.AppID(name)
+	a.mgrID, _ = mgr.AppID(a.name)
+	return nil
+}
+
+// detach is attach's inverse: a leaves its die's manager and releases
+// its partition, if any.
+//
+//angstrom:journaled writer
+func (d *Daemon) detach(a *app) {
+	d.mgrs[a.chip].RemoveApp(a.name)
+	d.unbindChip(a)
+}
+
+// publish stamps an attached app's enrollment order and makes it
+// visible in the directory. A taken name (unreachable while enrolls
+// serialize on d.mu, but the bookkeeping stays honest if that ever
+// changes) detaches the app again.
+//
+//angstrom:journaled writer
+func (d *Daemon) publish(a *app) error {
 	d.appSeq++
 	a.seq = d.appSeq
-	if !d.dir.insert(name, a) {
-		// Unreachable while enrolls serialize on d.mu, but keep the
-		// bookkeeping honest if that ever changes.
-		mgr.RemoveApp(name)
-		d.unbindChip(a)
-		return fmt.Errorf("server: %q %w", name, ErrDuplicate)
-	}
-	if a.partition() != nil {
-		d.chipCount.Add(1)
+	if !d.dir.insert(a.name, a) {
+		d.detach(a)
+		return fmt.Errorf("server: %q %w", a.name, ErrDuplicate)
 	}
 	return nil
 }
@@ -665,8 +705,8 @@ func (d *Daemon) totalApps() int {
 // unbindChip releases an app's chip partition, if any. The pointer is
 // left in place (tick workers may hold a snapshot of the app); the
 // released partition turns further actuation into clean errors.
-// Reached only from journaling writers (Enroll rollback, withdraw), so
-// the release it applies is always covered by their committed record.
+// Reached only from attach's rollback and detach, so the release it
+// applies is always covered by a journaling writer's committed record.
 //
 //angstrom:journaled writer
 func (d *Daemon) unbindChip(a *app) {
@@ -699,11 +739,7 @@ func (d *Daemon) withdraw(name string, evict bool) error {
 		return err
 	}
 	d.dir.remove(name)
-	d.mgrs[a.chip].RemoveApp(name)
-	d.unbindChip(a)
-	if a.partition() != nil {
-		d.chipCount.Add(-1)
-	}
+	d.detach(a)
 	if evict {
 		d.evicted.Add(1)
 	}
@@ -1341,9 +1377,12 @@ func (d *Daemon) chipStatusAt(i int) ChipStatusResponse {
 // ShardBeats reports each directory shard's client-ingested beat count
 // (JSON and binary wire alike; chip-emitted beats are not client
 // ingestion). Under concurrent ingestion each entry is an independent
-// atomic load; once writers have flushed their deltas and stopped,
-// the slice sums exactly to Stats().Beats — the reconciliation the
-// churn race test enforces against per-beat ground truth.
+// atomic load; once writers have flushed their deltas and stopped, the
+// slice sums exactly to Stats().Beats − Stats().ChipBeats — the
+// reconciliation the churn race test enforces against per-beat ground
+// truth. (A snapshot restore carries Beats over but starts the shard
+// counters and ChipBeats at zero, so the identity holds for beats taken
+// in since the process started.)
 func (d *Daemon) ShardBeats() []uint64 {
 	return d.dir.ingestTotals(make([]uint64, 0, len(d.dir.shards)))
 }
@@ -1352,12 +1391,12 @@ func (d *Daemon) ShardBeats() []uint64 {
 func (d *Daemon) Stats() StatsResponse {
 	st := StatsResponse{
 		Apps:             d.dir.len(),
-		ChipApps:         int(d.chipCount.Load()),
 		Cores:            d.cfg.Cores,
 		Shards:           len(d.dir.shards),
 		Migrations:       d.migrations.Load(),
 		Ticks:            d.ticks.Load(),
 		Beats:            d.beats.Load(),
+		ChipBeats:        d.chipBeats.Load(),
 		Decisions:        d.decisions.Load(),
 		Evicted:          d.evicted.Load(),
 		WireConns:        int(d.wireConns.Load()),
@@ -1370,6 +1409,10 @@ func (d *Daemon) Stats() StatsResponse {
 	}
 	if d.fleet != nil {
 		st.Chips = d.fleet.Chips()
+		for i := 0; i < st.Chips; i++ {
+			parts, _ := d.fleet.Chip(i).Usage()
+			st.ChipApps += parts
+		}
 	}
 	if jd := d.jd; jd != nil {
 		js := &JournalStats{

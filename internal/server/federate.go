@@ -85,9 +85,8 @@ func (d *Daemon) placeChip(spec workload.Spec) int {
 		return 0
 	}
 	cc := d.cfg.Chip
-	base := angstrom.Config{Cores: 1, CacheKB: cc.CacheOptionsKB[0], VF: 0}
 	var memBps, flitHops float64
-	if m, err := angstrom.Evaluate(*cc.Params, spec, base); err == nil {
+	if m, err := angstrom.Evaluate(*cc.Params, spec, cc.base()); err == nil {
 		memBps, flitHops = m.MemBytesPerSec, m.FlitHopsPerSec
 	}
 	d.loadBuf = d.fleet.Loads(d.loadBuf[:0])
@@ -237,10 +236,11 @@ func (d *Daemon) maybeMigrate(now sim.Time) {
 	_ = d.applyMigration(victim.name, to, now)
 }
 
-// applyMigration moves one chip-backed application between dies: drain
-// its partition from the source ledger, re-acquire on the target at the
-// same configuration and time share, and re-enroll it with the target
-// die's manager under its standing goal and priority. The app keeps its
+// applyMigration moves one chip-backed application between dies: detach
+// it from the source die (manager slot and partition), then attach it
+// to the target at the same configuration and time share, under its
+// standing goal and priority. A target without room leaves the app
+// re-attached to its source and returns the error. The app keeps its
 // monitor (heartbeat history survives the move); controller learning
 // restarts against the new die's action space, exactly as it does on a
 // snapshot restore. Reached from the maybeMigrate writer live and from
@@ -266,45 +266,16 @@ func (d *Daemon) applyMigration(name string, to int, now sim.Time) error {
 	from := a.chip
 	cfg := part.Config()
 	share := part.Share()
-
-	rebindMgr := func(chip int) error {
-		scaling := a.spec.CachedSpeedup(d.cfg.Cores)
-		shape := curveShapeFor(a.spec, d.cfg.Cores, scaling)
-		mgr := d.mgrs[chip]
-		if err := mgr.AddAppWithShape(name, a.mon, scaling, shape.peak, shape.unimodal); err != nil {
-			return err
-		}
-		if a.prio > 0 {
-			if err := mgr.SetPriority(name, a.prio); err != nil {
-				mgr.RemoveApp(name)
-				return err
-			}
-		}
-		a.mgrID, _ = mgr.AppID(name)
-		return nil
-	}
-
-	d.fleet.Chip(from).Release(name)
-	d.mgrs[from].RemoveApp(name)
+	d.detach(a)
 	a.chip = to
-	if err := d.bindChipAt(a, a.spec, cfg, share, now); err != nil {
-		// Roll the drain back: re-acquire on the source so the app is
-		// never left partitionless. The source ledger just freed exactly
-		// this reservation, so the re-bind cannot fail for space.
+	if err := d.attach(a, &cfg, share, now); err != nil {
+		// Roll the move back: re-attach on the source, which just freed
+		// exactly this reservation and manager slot, so the app is never
+		// left partitionless.
 		a.chip = from
-		if err2 := d.bindChipAt(a, a.spec, cfg, share, now); err2 != nil {
-			return fmt.Errorf("server: migration of %q failed and could not re-bind source: %v (after %w)", name, err2, err)
+		if err2 := d.attach(a, &cfg, share, now); err2 != nil {
+			return fmt.Errorf("server: migration of %q failed and could not re-attach to its source: %v (after %w)", name, err2, err)
 		}
-		_ = rebindMgr(from)
-		return err
-	}
-	if err := rebindMgr(to); err != nil {
-		d.fleet.Chip(to).Release(name)
-		a.chip = from
-		if err2 := d.bindChipAt(a, a.spec, cfg, share, now); err2 != nil {
-			return fmt.Errorf("server: migration of %q failed and could not re-bind source: %v (after %w)", name, err2, err)
-		}
-		_ = rebindMgr(from)
 		return err
 	}
 

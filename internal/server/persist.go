@@ -87,18 +87,18 @@ type record struct {
 // and the chip's contention pass iterate in — so restoring them
 // re-enrolls the fleet exactly as it was built.
 type snapImage struct {
-	Seq         uint64    `json:"seq"`
-	Clock       sim.Time  `json:"clock"`
-	Ticks       uint64    `json:"ticks"`
-	Beats       uint64    `json:"beats"`
-	Decisions   uint64    `json:"decisions"`
-	Evicted     uint64    `json:"evicted"`
-	Migrations  uint64    `json:"migrations,omitempty"`
+	Seq        uint64   `json:"seq"`
+	Clock      sim.Time `json:"clock"`
+	Ticks      uint64   `json:"ticks"`
+	Beats      uint64   `json:"beats"`
+	Decisions  uint64   `json:"decisions"`
+	Evicted    uint64   `json:"evicted"`
+	Migrations uint64   `json:"migrations,omitempty"`
 	// LastMigrate is when the most recent inter-die move applied (zero
 	// if never): restores must resume the migration scan's settle window
 	// exactly where the imaged daemon left it.
-	LastMigrate sim.Time  `json:"last_migrate,omitempty"`
-	OvercommitW float64   `json:"overcommit_w,omitempty"`
+	LastMigrate sim.Time `json:"last_migrate,omitempty"`
+	OvercommitW float64  `json:"overcommit_w,omitempty"`
 	// ChipScales is each die's bandwidth derating (absent when every die
 	// is nominal; a shorter slice leaves the remaining dies at 1).
 	ChipScales []float64 `json:"chip_scales,omitempty"`
@@ -112,11 +112,11 @@ type snapImage struct {
 }
 
 type snapApp struct {
-	Name       string   `json:"name"`
-	Workload   string   `json:"workload"`
-	Window     int      `json:"window"`
-	MinRate    float64  `json:"min_rate"`
-	MaxRate    float64  `json:"max_rate,omitempty"`
+	Name     string  `json:"name"`
+	Workload string  `json:"workload"`
+	Window   int     `json:"window"`
+	MinRate  float64 `json:"min_rate"`
+	MaxRate  float64 `json:"max_rate,omitempty"`
 	// Priority is the declared water-fill weight (0 = default 1).
 	Priority   float64  `json:"priority,omitempty"`
 	EnrolledAt sim.Time `json:"enrolled_at"`
@@ -489,6 +489,8 @@ func (d *Daemon) restoreApp(sa snapApp) error {
 	if a.alloc.Share <= 0 {
 		a.alloc.Share = 1
 	}
+	var start *angstrom.Config
+	share := 1.0
 	if sa.Chip != nil {
 		if d.fleet == nil {
 			return fmt.Errorf("server: snapshot has chip app %q but the daemon runs without -chips", sa.Name)
@@ -497,46 +499,14 @@ func (d *Daemon) restoreApp(sa snapApp) error {
 			return fmt.Errorf("server: snapshot places %q on chip %d of %d", sa.Name, sa.Chip.Chip, d.fleet.Chips())
 		}
 		a.chip = sa.Chip.Chip
-		cfg := angstrom.Config{Cores: sa.Chip.Cores, CacheKB: sa.Chip.CacheKB, VF: sa.Chip.VF}
-		if err := d.bindChipAt(a, spec, cfg, sa.Chip.Share, d.clock.Now()); err != nil {
-			return err
-		}
-	} else {
-		space, err := buildSpace(spec)
-		if err != nil {
-			return err
-		}
-		if a.rt, err = core.New(sa.Name, d.clock, mon, space, core.Options{}); err != nil {
-			return err
-		}
+		start = &angstrom.Config{Cores: sa.Chip.Cores, CacheKB: sa.Chip.CacheKB, VF: sa.Chip.VF}
+		share = sa.Chip.Share
 	}
-	scaling := spec.CachedSpeedup(d.cfg.Cores)
-	shape := curveShapeFor(spec, d.cfg.Cores, scaling)
-	mgr := d.mgrs[a.chip]
-	if err := mgr.AddAppWithShape(sa.Name, mon, scaling, shape.peak, shape.unimodal); err != nil {
-		d.unbindChip(a)
+	if err := d.attach(a, start, share, d.clock.Now()); err != nil {
 		return err
 	}
-	if sa.Priority > 0 {
-		if err := mgr.SetPriority(sa.Name, sa.Priority); err != nil {
-			mgr.RemoveApp(sa.Name)
-			d.unbindChip(a)
-			return err
-		}
-	}
-	a.mgrID, _ = mgr.AppID(sa.Name)
 	a.alloc.ID = a.mgrID
-	d.appSeq++
-	a.seq = d.appSeq
-	if !d.dir.insert(sa.Name, a) {
-		mgr.RemoveApp(sa.Name)
-		d.unbindChip(a)
-		return fmt.Errorf("server: %q %w", sa.Name, ErrDuplicate)
-	}
-	if a.partition() != nil {
-		d.chipCount.Add(1)
-	}
-	return nil
+	return d.publish(a)
 }
 
 // buildImage captures the compacted prefix the snapshot at sequence seq
