@@ -151,6 +151,63 @@ func isolatedInterference(m Metrics) Interference {
 	return Interference{Slowdown: 1, CPI: m.CPI, StallFrac: stallFrac(m.CPI), MemRho: m.MemRho}
 }
 
+// MakeRoom returns the time share a new single-core partition should be
+// acquired at. When the die has a free tile the newcomer gets a
+// dedicated one (share 1). Otherwise the incumbents give up the
+// newcomer's fair slot, tiles/(partitions+1), in proportion to their
+// share mass above floor, so partitions at the floor never move; a
+// second round re-spreads whatever float residue the first left.
+// Partitions are walked in acquisition order, so the resulting shares
+// are a function of this die's history alone. A fair slot below floor
+// is refused before anything moves, and so is a die whose incumbents
+// are all floored with less than floor left free.
+//
+//angstrom:journaled mutator
+func (sc *SharedChip) MakeRoom(floor float64) (float64, error) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	tiles := float64(sc.tiles)
+	if tiles-sc.used >= 1 {
+		return 1, nil
+	}
+	slot := math.Min(tiles/float64(len(sc.order)+1), 1)
+	if slot < floor {
+		return 0, fmt.Errorf("angstrom: %d partitions on %d tiles: oversubscribed beyond %gx", len(sc.order), sc.tiles, 1/floor)
+	}
+	for iter := 0; iter < 2; iter++ {
+		excess := sc.used - (tiles - slot)
+		if excess <= 1e-9 {
+			break
+		}
+		above := 0.0 // shrinkable core-equivalents: share mass beyond the floor
+		for _, pt := range sc.order {
+			pt.mu.Lock()
+			if pt.share > floor {
+				above += float64(pt.cfg.Cores) * (pt.share - floor)
+			}
+			pt.mu.Unlock()
+		}
+		if above <= 1e-12 {
+			break // every incumbent already at the floor
+		}
+		f := math.Max(1-excess/above, 0)
+		for _, pt := range sc.order {
+			pt.mu.Lock()
+			if s := pt.share; s > floor {
+				share := floor + (s-floor)*f
+				sc.used += float64(pt.cfg.Cores) * (share - s)
+				pt.share = share
+			}
+			pt.mu.Unlock()
+		}
+	}
+	free := tiles - sc.used
+	if free < floor {
+		return 0, fmt.Errorf("angstrom: %g of %d tiles free, below the %g share floor", free, sc.tiles, floor)
+	}
+	return math.Min(slot, free), nil
+}
+
 // ledgerEps absorbs the float residue of repeated fractional-share
 // add/subtract cycles; a deficit beyond it is an accounting bug.
 const ledgerEps = 1e-6

@@ -1,6 +1,7 @@
 package angstrom
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -340,5 +341,175 @@ func TestKnobSpaceEffectsMatchModel(t *testing.T) {
 	}
 	if got, want := pt.Config(), (Config{Cores: 1, CacheKB: 128, VF: 0}); got != want {
 		t.Fatalf("after Apply the partition runs %+v, want %+v", got, want)
+	}
+}
+
+// makeRoomFloor is the admission floor the MakeRoom tests run at (the
+// serving layer passes core.MinTimeShare, the same value).
+const makeRoomFloor = 0.01
+
+// shares snapshots every partition's time share in acquisition order.
+func shares(sc *SharedChip) []float64 {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	out := make([]float64, len(sc.order))
+	for i, pt := range sc.order {
+		out[i] = pt.Share()
+	}
+	return out
+}
+
+// checkLedger fails unless the ledger equals the recomputed
+// Σ cores × share and stays within the tile pool.
+func checkLedger(t *testing.T, sc *SharedChip, step string) {
+	t.Helper()
+	sum := 0.0
+	for _, pt := range sc.order {
+		sum += float64(pt.Config().Cores) * pt.Share()
+	}
+	_, used := sc.Usage()
+	if math.Abs(used-sum) > 1e-9 {
+		t.Fatalf("%s: ledger %g, partitions sum to %g", step, used, sum)
+	}
+	if used > float64(sc.Tiles())+1e-9 {
+		t.Fatalf("%s: ledger %g exceeds %d tiles", step, used, sc.Tiles())
+	}
+}
+
+func TestMakeRoomFreeTile(t *testing.T) {
+	// More partitions than tiles, but 1.6 tiles free: the newcomer gets
+	// a whole one, not the fair slot 4/7.
+	sc := newSharedChip(t, 4)
+	acquire(t, sc, "a", 2, 0.4)
+	for i := 0; i < 5; i++ {
+		acquire(t, sc, fmt.Sprintf("p%d", i), 1, 0.32)
+	}
+	before := shares(sc)
+	_, usedBefore := sc.Usage()
+	share, err := sc.MakeRoom(makeRoomFloor)
+	if err != nil || share != 1 {
+		t.Fatalf("MakeRoom with a free tile = %g, %v; want 1, nil", share, err)
+	}
+	after := shares(sc)
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("partition %d moved with a free tile: %g -> %g", i, before[i], after[i])
+		}
+	}
+	if _, used := sc.Usage(); used != usedBefore {
+		t.Fatalf("ledger %g -> %g with a free tile", usedBefore, used)
+	}
+}
+
+func TestMakeRoomRefusesBelowFloor(t *testing.T) {
+	// One tile split 100 ways at half the floor: half the tile is free,
+	// but the next fair slot, 1/101, is below the floor, so the newcomer
+	// is refused and nothing moves.
+	sc := newSharedChip(t, 1)
+	for i := 0; i < 100; i++ {
+		acquire(t, sc, fmt.Sprintf("p%03d", i), 1, makeRoomFloor/2)
+	}
+	before := shares(sc)
+	_, usedBefore := sc.Usage()
+	if _, err := sc.MakeRoom(makeRoomFloor); err == nil {
+		t.Fatal("slot below the floor admitted")
+	}
+	after := shares(sc)
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("partition %d moved on a refused slot: %g -> %g", i, before[i], after[i])
+		}
+	}
+	if _, used := sc.Usage(); used != usedBefore {
+		t.Fatalf("refused slot changed the ledger: %g -> %g", usedBefore, used)
+	}
+}
+
+func TestMakeRoomFlooredPoolFull(t *testing.T) {
+	// Every incumbent already at the floor and the pool full: the fair
+	// slot (4/101) clears the floor, but there is no mass left to
+	// shrink, so the newcomer is refused and nobody moves.
+	sc := newSharedChip(t, 4)
+	for i := 0; i < 100; i++ {
+		acquire(t, sc, fmt.Sprintf("p%03d", i), 4, makeRoomFloor)
+	}
+	before := shares(sc)
+	if _, err := sc.MakeRoom(makeRoomFloor); err == nil {
+		t.Fatal("full pool of floored partitions admitted a newcomer")
+	}
+	after := shares(sc)
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("floored partition %d moved: %g -> %g", i, before[i], after[i])
+		}
+	}
+	checkLedger(t, sc, "refused")
+}
+
+func TestMakeRoomShrinksIncumbents(t *testing.T) {
+	sc := newSharedChip(t, 4)
+	acquire(t, sc, "a", 2, 1)
+	acquire(t, sc, "b", 1, 1)
+	acquire(t, sc, "c", 1, 0.5)
+	floored, _ := acquire(t, sc, "d", 1, makeRoomFloor)
+	acquire(t, sc, "e", 1, 0.49)
+	before := shares(sc)
+	share, err := sc.MakeRoom(makeRoomFloor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slot := 4.0 / 6; share < makeRoomFloor || share > slot+1e-12 {
+		t.Fatalf("newcomer share %g outside [%g, %g]", share, makeRoomFloor, slot)
+	}
+	checkLedger(t, sc, "after shrink")
+	// The shrink carves exactly the newcomer's slot: no more, no less.
+	if _, used := sc.Usage(); math.Abs(4-used-share) > 1e-9 {
+		t.Fatalf("shrink left %g tiles free for a %g slot", 4-used, share)
+	}
+	after := shares(sc)
+	for i := range before {
+		if before[i] > makeRoomFloor && after[i] >= before[i] {
+			t.Fatalf("partition %d did not shrink: %g -> %g", i, before[i], after[i])
+		}
+	}
+	if got := floored.Share(); got != makeRoomFloor {
+		t.Fatalf("floored partition moved to %g", got)
+	}
+	acquire(t, sc, "new", 1, share)
+	checkLedger(t, sc, "after acquire")
+
+	// Keep admitting until the floor refuses; the ledger holds at every
+	// step and nobody is pushed below the floor.
+	n := 0
+	for ; n < 1000; n++ {
+		share, err := sc.MakeRoom(makeRoomFloor)
+		if err != nil {
+			break
+		}
+		acquire(t, sc, fmt.Sprintf("fill%03d", n), 1, share)
+		checkLedger(t, sc, "fill")
+	}
+	if n == 0 || n == 1000 {
+		t.Fatalf("admitted %d newcomers before the floor refused", n)
+	}
+	for i, s := range shares(sc) {
+		if s < makeRoomFloor-1e-12 {
+			t.Fatalf("partition %d at %g, below the floor", i, s)
+		}
+	}
+	sc.mu.Lock()
+	names := make([]string, 0, len(sc.order))
+	for _, pt := range sc.order {
+		names = append(names, pt.Name())
+	}
+	sc.mu.Unlock()
+	for _, name := range names {
+		sc.Release(name)
+	}
+	if f := sc.LedgerFaults(); f != 0 {
+		t.Fatalf("%d ledger faults after releasing everything", f)
+	}
+	if parts, used := sc.Usage(); parts != 0 || math.Abs(used) > 1e-9 {
+		t.Fatalf("after release: %d parts, %g used", parts, used)
 	}
 }

@@ -664,18 +664,20 @@ func weightedFair(remaining, weight, weightLeft float64, left int) float64 {
 	return remaining / float64(left)
 }
 
-// minTimeShare floors an oversubscribed application's time share so a
+// MinTimeShare floors an oversubscribed application's time share so a
 // starved app still makes observable progress (and its rate measurement
-// stays meaningful for the next demand estimate).
-const minTimeShare = 0.01
+// stays meaningful for the next demand estimate). Chip admission
+// (angstrom.SharedChip.MakeRoom) floors a partition's share at the same
+// value.
+const MinTimeShare = 0.01
 
 // clampShareWant turns a unit demand into the time-share want of the
 // oversubscribed walk: demand above one core-equivalent is
 // unsatisfiable at Units=1 and is clamped, and every app floors at
-// minTimeShare.
+// MinTimeShare.
 func clampShareWant(demand float64) float64 {
-	if demand < minTimeShare {
-		return minTimeShare
+	if demand < MinTimeShare {
+		return MinTimeShare
 	}
 	if demand > 1 {
 		return 1

@@ -161,12 +161,13 @@ func (k *cappedKnob) SetLevel(level int) error {
 // bindChip binds a to a partition of die a.chip acquired at an explicit
 // start configuration, time share, and time, and builds its
 // hardware-backed action space. Fresh enrollments start at the base
-// configuration in the slot makeRoom carved; snapshot restore and
-// migration re-acquire each partition at its recorded placement, which
-// re-sums the tile ledger to its pre-crash value. The action space (and
-// the nominal power the power rebalance prices from) is always built
-// against the canonical base configuration, so a restored app's
-// controller sees the same effect tables an uncrashed one does. On
+// configuration in the slot their die's ledger carved (MakeRoom);
+// snapshot restore and migration re-acquire each partition at its
+// recorded placement, which re-sums the tile ledger to its pre-crash
+// value. The action space (and the nominal power the power rebalance
+// prices from) is always built against the canonical base
+// configuration, so a restored app's controller sees the same effect
+// tables an uncrashed one does. On
 // error nothing stays acquired. Reached only from attach, under d.mu,
 // on behalf of a journaling writer (Enroll live, restoreApp on
 // recovery, applyMigration).
@@ -230,92 +231,6 @@ func (d *Daemon) bindChip(a *app, start angstrom.Config, share float64, now sim.
 	a.minPowerX = minX
 	return nil
 }
-
-// makeRoom returns the time share a new chip partition on die `chip`
-// should start with. When that die has a free core the newcomer gets a
-// dedicated one; otherwise (oversubscribed fleet) every existing
-// partition *on that die* is shrunk proportionally toward the new fair
-// share so the newcomer fits — co-located dies are untouched. Called
-// with d.mu held (which serializes it against the tick's share pass);
-// the incumbent scan walks the sharded directory. Reached only from the
-// Enroll writer: the incumbent shrinks it applies are covered by the
-// enrollment record (replay re-runs the same shrink).
-//
-//angstrom:journaled writer
-func (d *Daemon) makeRoom(chip int) (float64, error) {
-	sc := d.fleet.Chip(chip)
-	tiles := float64(sc.Tiles())
-	parts, used := sc.Usage()
-	free := tiles - used
-	if free >= 1 {
-		return 1, nil
-	}
-	if !d.cfg.Oversubscribe {
-		return 0, fmt.Errorf("server: %w (chip pool full)", ErrPoolExhausted)
-	}
-	slot := tiles / float64(parts+1)
-	if slot > 1 {
-		slot = 1
-	}
-	if slot < minChipShare {
-		return 0, fmt.Errorf("server: %w (chip oversubscribed beyond %gx)", ErrPoolExhausted, 1/minChipShare)
-	}
-	incumbents := d.dir.snapshot(make([]*app, 0, d.dir.len()))
-	// Shrink the incumbents until the newcomer's slot fits. A single
-	// proportional scale is not enough: shares clamped up to
-	// minChipShare shrink less than their proportion, leaving
-	// Σ(cores × share) above tiles − slot — so the deficit is re-spread
-	// over the mass still above the floor until the invariant holds (or
-	// everyone is floored and the pool is genuinely full).
-	for iter := 0; iter < 2; iter++ {
-		_, used = sc.Usage()
-		excess := used - (tiles - slot)
-		if excess <= 1e-9 {
-			break
-		}
-		above := 0.0 // shrinkable core-equivalents: share mass beyond the floor
-		for _, other := range incumbents {
-			part := other.partition()
-			if part == nil || other.chip != chip {
-				continue
-			}
-			if s := part.Share(); s > minChipShare {
-				above += float64(part.Config().Cores) * (s - minChipShare)
-			}
-		}
-		if above <= 1e-12 {
-			break // every incumbent already at the floor
-		}
-		f := 1 - excess/above
-		if f < 0 {
-			f = 0
-		}
-		for _, other := range incumbents {
-			part := other.partition()
-			if part == nil || other.chip != chip {
-				continue
-			}
-			if s := part.Share(); s > minChipShare {
-				// shrink only: cannot overdraw the ledger
-				_ = part.SetShare(minChipShare + (s-minChipShare)*f)
-			}
-		}
-	}
-	_, used = sc.Usage()
-	free = tiles - used
-	if free < minChipShare {
-		return 0, fmt.Errorf("server: %w (chip pool full)", ErrPoolExhausted)
-	}
-	if slot > free {
-		slot = free
-	}
-	return slot, nil
-}
-
-// minChipShare is the smallest time share a chip partition may hold —
-// beyond ~100 applications per tile the model's rates stop being
-// meaningful within one decision period.
-const minChipShare = 0.01
 
 // runChipInterval is the act+observe phase for one chip-backed app:
 // execute the previous decision's schedule (low slice first) over the

@@ -9,6 +9,7 @@ import (
 
 	"angstrom/internal/actuator"
 	"angstrom/internal/angstrom"
+	"angstrom/internal/core"
 	"angstrom/internal/workload"
 )
 
@@ -472,7 +473,7 @@ func TestChipContentionCoLocation(t *testing.T) {
 	}
 }
 
-// makeRoom regression at deep oversubscription: when most incumbents
+// Chip admission regression at deep oversubscription: when most incumbents
 // sit at the minimum share, a single proportional scale under-shrinks
 // (the floored shares cannot give their proportion) and the old code
 // spuriously refused the newcomer. The rescale loop must carve the full
@@ -495,7 +496,7 @@ func TestMakeRoomDeepOversubscription(t *testing.T) {
 	// Skew the fleet: 50 partitions pinned at the minimum share, one
 	// holding nearly everything else (shrinks first so the grow fits).
 	for i := 1; i < incumbents; i++ {
-		if err := mustApp(t, d, fmt.Sprintf("inc-%02d", i)).partition().SetShare(minChipShare); err != nil {
+		if err := mustApp(t, d, fmt.Sprintf("inc-%02d", i)).partition().SetShare(core.MinTimeShare); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -255,9 +255,11 @@ type Daemon struct {
 	dir *directory // sharded app index; lock-free reads
 
 	// mu is the control-plane lock: the (single-threaded) per-chip
-	// Managers and broker, chip admission (makeRoom), placement,
-	// migration, enroll/withdraw/goal sequencing, and the journal's
-	// snapshot rotation. The beat and status paths never take it.
+	// Managers and broker, placement, migration, enroll/withdraw/goal
+	// sequencing (chip admission included, so SharedChip.MakeRoom's
+	// shrinks never interleave with the tick's share pass), and the
+	// journal's snapshot rotation. The beat and status paths never take
+	// it.
 	mu sync.Mutex
 	// mgrs is one water-filling Manager per chip (one entry for a
 	// non-chip daemon; advisory apps always live in mgrs[0]). broker
@@ -610,8 +612,14 @@ func (d *Daemon) Enroll(req EnrollRequest) error {
 	var start *angstrom.Config
 	share := 1.0
 	if chipBacked {
-		if share, err = d.makeRoom(a.chip); err != nil {
-			return err
+		// An oversubscribed die carves the newcomer a slot by shrinking
+		// its incumbents (replay re-runs the same shrink); otherwise the
+		// newcomer asks for a dedicated tile and bindChip's Acquire
+		// refuses a full die.
+		if d.cfg.Oversubscribe {
+			if share, err = d.fleet.Chip(a.chip).MakeRoom(core.MinTimeShare); err != nil {
+				return fmt.Errorf("server: %w: %v", ErrPoolExhausted, err)
+			}
 		}
 		base := d.cfg.Chip.base()
 		start = &base
@@ -1043,7 +1051,7 @@ func (d *Daemon) tickAt(now sim.Time) {
 
 	// Apply the managers' time shares to chip partitions, shrinks first
 	// so the grows always find the freed core-equivalents in the ledger.
-	// Still under d.mu: Enroll's makeRoom also shrinks shares (to carve
+	// Still under d.mu: Enroll's MakeRoom also shrinks shares (to carve
 	// a slot for a newcomer), and a concurrent grow pass working from
 	// pre-shrink values would undo it and spuriously refuse admission.
 	for pass := 0; pass < 2; pass++ {
@@ -1119,9 +1127,6 @@ func (d *Daemon) evictStale(now sim.Time) {
 		_ = d.withdraw(name, true) // already-withdrawn races are no-ops
 	}
 }
-
-// Evicted reports how many stale applications BeatTimeout has evicted.
-func (d *Daemon) Evicted() uint64 { return d.evicted.Load() }
 
 // allocFor reads this tick's allocation for a Manager app ID on one
 // chip's manager (ok=false when the app was not part of the tick's Step

@@ -236,9 +236,6 @@ func (d *Daemon) Ready() (bool, string) {
 	return true, ""
 }
 
-// Degraded reports read-only journal-degraded mode.
-func (d *Daemon) Degraded() bool { return d.jd != nil && d.jd.degraded.Load() }
-
 // degrade latches the daemon into journal-degraded mode (first failure
 // wins). Reached from failed commits and from the journal's background
 // flusher via Options.OnError.

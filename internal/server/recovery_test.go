@@ -585,7 +585,7 @@ func TestDegradedMode(t *testing.T) {
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("enroll on failed journal: %v", err)
 	}
-	if !d.Degraded() {
+	if j := d.Stats().Journal; j == nil || !j.Degraded {
 		t.Fatal("daemon not degraded after journal failure")
 	}
 	// Journal-then-apply: the refused mutation left no state behind.
@@ -626,6 +626,17 @@ func TestDegradedMode(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("mutation in degraded mode: %v %v", resp.StatusCode, err)
 	}
+	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/apps/ok", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("withdraw in degraded mode: %v", resp.StatusCode)
+	}
 }
 
 // A healthy journaled daemon is ready.
@@ -665,7 +676,7 @@ func TestBeatTimeoutEvictsStale(t *testing.T) {
 		}
 		d.Tick()
 	}
-	if got := d.Evicted(); got != 2 {
+	if got := d.Stats().Evicted; got != 2 {
 		t.Fatalf("evicted %d apps, want 2", got)
 	}
 	if _, err := d.Status("ev-1"); err == nil {

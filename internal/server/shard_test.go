@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"angstrom/internal/core"
 )
 
 // Directory unit coverage: the copy-on-write read path must agree with
@@ -159,7 +161,7 @@ func TestShardedDirectoryChurnRace(t *testing.T) {
 	}
 }
 
-// Property-style coverage for makeRoom through the public surface:
+// Property-style coverage for chip admission through the public surface:
 // deterministic enroll/withdraw churn on a deeply oversubscribed chip.
 // After every operation the ledger stays within the tile pool, no
 // partition sits below the admission floor, and accounting matches the
@@ -189,8 +191,8 @@ func TestMakeRoomChurnInvariants(t *testing.T) {
 				continue
 			}
 			share := a.partition().Share()
-			if share < minChipShare-1e-9 {
-				t.Fatalf("%s: %s share %g below floor %g", op, a.name, share, minChipShare)
+			if share < core.MinTimeShare-1e-9 {
+				t.Fatalf("%s: %s share %g below floor %g", op, a.name, share, core.MinTimeShare)
 			}
 			sum += float64(a.partition().Config().Cores) * share
 		}
@@ -223,12 +225,50 @@ func TestMakeRoomChurnInvariants(t *testing.T) {
 	if got := d.Stats().Apps; got != live {
 		t.Fatalf("%d apps enrolled, want %d", got, live)
 	}
-	// Oversubscription has a floor: beyond 1/minChipShare apps per tile
+	// Oversubscription has a floor: beyond 1/core.MinTimeShare apps per tile
 	// admission must refuse cleanly, not overcommit.
-	for i := 1000; i < 1000+int(float64(tiles)/minChipShare); i++ {
+	for i := 1000; i < 1000+int(float64(tiles)/core.MinTimeShare); i++ {
 		if err := d.Enroll(EnrollRequest{Name: name(i), Workload: "barnes", MinRate: 1}); err != nil {
 			break
 		}
 		check(fmt.Sprintf("deep enroll %d", i))
+	}
+}
+
+// Chip admission is a function of the die's own history, not of the
+// directory's shard layout: oversubscribed enrollment carves each slot
+// by shrinking incumbents in acquisition order, so the same enrollment
+// sequence leaves bit-identical partition shares under one shard or
+// many.
+func TestOversubscribedEnrollLayoutIndependent(t *testing.T) {
+	const tiles, apps = 16, 40
+	shares := func(shards, workers int) map[string]float64 {
+		d, err := NewDaemon(Config{
+			Cores: tiles, Accel: 1, Period: time.Hour, Oversubscribe: true,
+			Shards: shards, TickWorkers: workers,
+			Chip: &ChipConfig{Tiles: tiles},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < apps; i++ {
+			if err := d.Enroll(EnrollRequest{Name: fmt.Sprintf("app-%d", i), Workload: "barnes", MinRate: 1}); err != nil {
+				t.Fatalf("enroll %d: %v", i, err)
+			}
+		}
+		out := make(map[string]float64, apps)
+		for _, a := range d.dir.snapshot(nil) {
+			out[a.name] = a.partition().Share()
+		}
+		return out
+	}
+	one, many := shares(1, 1), shares(64, 0)
+	if len(one) != apps || len(many) != apps {
+		t.Fatalf("enrolled %d and %d apps, want %d", len(one), len(many), apps)
+	}
+	for name, s := range one {
+		if many[name] != s {
+			t.Errorf("%s: share %v under 1 shard, %v under 64", name, s, many[name])
+		}
 	}
 }
