@@ -1,6 +1,7 @@
 package angstrom
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -36,6 +37,12 @@ import (
 // partition's traffic demand and degrades each one's effective IPS,
 // stall fraction, and per-access power when the chip saturates, so
 // co-location costs are visible to Sense and Advance.
+
+// ErrTilePool is the tile ledger's refusal of a grow — a larger time
+// share or more cores — that would push the die past its tiles. It is a
+// sentinel so callers can count refusals with errors.Is, and so the
+// refusal path builds no error value.
+var ErrTilePool = errors.New("angstrom: grow would exceed the tile pool")
 
 // SharedChip is one Angstrom chip whose tiles are partitioned among many
 // applications. The ledger is kept in fractional core-equivalents: a
@@ -327,7 +334,8 @@ func (pt *Partition) Now() sim.Time {
 }
 
 // SetShare changes the partition's time share, adjusting the chip's
-// core-equivalent ledger. Growth beyond the free pool is refused.
+// core-equivalent ledger. Growth beyond the free pool is refused with
+// ErrTilePool.
 //
 //angstrom:journaled mutator
 func (pt *Partition) SetShare(share float64) error {
@@ -344,7 +352,7 @@ func (pt *Partition) SetShare(share float64) error {
 	}
 	delta := float64(pt.cfg.Cores) * (share - pt.share)
 	if sc.used+delta > float64(sc.tiles)+1e-9 {
-		return fmt.Errorf("angstrom: share %g would exceed the tile pool", share)
+		return ErrTilePool
 	}
 	sc.used += delta
 	pt.share = share
@@ -353,6 +361,7 @@ func (pt *Partition) SetShare(share float64) error {
 
 // setConfig validates and applies a new configuration, adjusting the
 // tile ledger for core-count changes and re-evaluating the cached model.
+// A core-count grow beyond the free pool is refused with ErrTilePool.
 func (pt *Partition) setConfig(cfg Config) error {
 	if err := pt.sc.p.Validate(cfg); err != nil {
 		return err
@@ -371,7 +380,7 @@ func (pt *Partition) setConfig(cfg Config) error {
 	}
 	delta := float64(cfg.Cores-pt.cfg.Cores) * pt.share
 	if sc.used+delta > float64(sc.tiles)+1e-9 {
-		return fmt.Errorf("angstrom: %d cores would exceed the tile pool", cfg.Cores)
+		return ErrTilePool
 	}
 	sc.used += delta
 	pt.cfg = cfg

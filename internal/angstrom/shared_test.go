@@ -1,6 +1,7 @@
 package angstrom
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -47,8 +48,8 @@ func TestSharedChipLedger(t *testing.T) {
 	// Growth beyond the pool is refused; the old config survives.
 	cfg := a.Config()
 	cfg.Cores = 8
-	if err := a.setConfig(cfg); err == nil {
-		t.Fatal("8+2 cores fit an 8-tile chip")
+	if err := a.setConfig(cfg); !errors.Is(err, ErrTilePool) {
+		t.Fatalf("8+2 cores on an 8-tile chip: err = %v, want ErrTilePool", err)
 	}
 	if a.Config().Cores != 4 {
 		t.Fatalf("failed resize mutated config to %d cores", a.Config().Cores)
@@ -81,6 +82,28 @@ func TestSharedChipLedger(t *testing.T) {
 		t.Fatal("released partition reshared")
 	}
 	sc.Release("nosuch") // no-op
+}
+
+// A time-share grow past the pool is refused with the ErrTilePool
+// sentinel, and the refusal allocates nothing; other failures are not
+// refusals.
+func TestSharedChipShareRefusal(t *testing.T) {
+	sc := newSharedChip(t, 2)
+	x, _ := acquire(t, sc, "x", 2, 0.5)
+	acquire(t, sc, "y", 1, 1)
+	if err := x.SetShare(1); !errors.Is(err, ErrTilePool) {
+		t.Fatalf("share grow past the pool: err = %v, want ErrTilePool", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = x.SetShare(1) }); n != 0 {
+		t.Fatalf("a refused share grow allocates %g times", n)
+	}
+	if x.Share() != 0.5 {
+		t.Fatalf("refused grow moved the share to %g", x.Share())
+	}
+	sc.Release("x")
+	if err := x.SetShare(0.25); err == nil || errors.Is(err, ErrTilePool) {
+		t.Fatalf("released partition reshared: err = %v, want a non-pool error", err)
+	}
 }
 
 func TestSharedChipAcquireValidation(t *testing.T) {

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // Broker is the federation layer's global arbiter: one level above the
 // per-chip Managers, it splits a fleet-wide resource budget (core
 // units, watts) across chips by each chip's aggregate corrected need —
@@ -32,14 +30,25 @@ func NewBroker() *Broker { return &Broker{} }
 // fleet is space-shared (each app keeps >= 1 unit), at one unit when
 // oversubscribed — then the surplus is split proportionally to demand
 // beyond the floor with largest-remainder rounding. Units no chip
-// demands stay unallocated, mirroring Manager.partition. The returned
-// slice is valid until the next call.
-func (b *Broker) SplitUnits(total int, mgrs []*Manager) []int {
+// demands stay unallocated, mirroring Manager.partition.
+//
+// caps, when non-nil, is each chip's capacity (its tile count): no
+// grant exceeds it. Units a capped grant gives up are re-spread over
+// the chips still below their caps, weighted by demand beyond what they
+// were granted, until none spill or no chip below its cap has demand
+// left; what is left then stays unallocated. One chip is granted
+// min(total, cap). nil caps leave every grant as it was uncapped. The
+// returned slice is valid until the next call.
+func (b *Broker) SplitUnits(total int, mgrs []*Manager, caps []int) []int {
 	n := len(mgrs)
 	b.out = resizeInts(b.out, n)
 	if n == 1 {
-		// Single chip: the broker is the identity, bit for bit.
+		// Single chip: the broker is the identity, bit for bit, up to
+		// the die's capacity.
 		b.out[0] = total
+		if caps != nil && caps[0] < total {
+			b.out[0] = caps[0]
+		}
 		return b.out
 	}
 	b.floors = resizeInts(b.floors, n)
@@ -58,35 +67,67 @@ func (b *Broker) SplitUnits(total int, mgrs []*Manager) []int {
 			if f > total-floorSum {
 				f = total - floorSum // admission should prevent this; never go negative
 			}
+			if caps != nil && f > caps[i] {
+				f = caps[i]
+			}
 		}
 		b.floors[i] = f
 		floorSum += f
 		b.demands[i] = m.AggregateDemand()
 	}
 
-	surplus := total - floorSum
-	var excessSum float64
-	for i := range mgrs {
+	for i := range b.out {
+		b.out[i] = b.floors[i]
 		e := b.demands[i] - float64(b.floors[i])
 		if e < 0 || b.floors[i] == 0 {
 			e = 0 // empty chips and chips already satisfied claim no surplus
 		}
 		b.excess[i] = e
-		excessSum += e
 	}
-	for i := range b.out {
-		b.out[i] = b.floors[i]
-	}
-	if surplus <= 0 || excessSum <= 0 {
+	b.apportion(total - floorSum)
+	if caps == nil {
 		return b.out
 	}
+	// Each round caps at least one more chip, so n rounds suffice.
+	for round := 0; round < n; round++ {
+		spill := 0
+		for i, c := range caps {
+			if b.out[i] > c {
+				spill += b.out[i] - c
+				b.out[i] = c
+			}
+		}
+		if spill == 0 {
+			break
+		}
+		for i, c := range caps {
+			e := b.demands[i] - float64(b.out[i])
+			if e < 0 || b.floors[i] == 0 || b.out[i] >= c {
+				e = 0
+			}
+			b.excess[i] = e
+		}
+		b.apportion(spill)
+	}
+	return b.out
+}
 
-	// Largest-remainder apportionment of the surplus, ties by chip
-	// index: integral, exact, and deterministic.
+// apportion adds `units` to b.out in proportion to the weights in
+// b.excess, by largest remainder with ties by chip index: integral,
+// exact, and deterministic. Nothing is added when units or the weights
+// sum to zero. b.excess is overwritten with the remainders.
+func (b *Broker) apportion(units int) {
+	var sum float64
+	for _, e := range b.excess {
+		sum += e
+	}
+	if units <= 0 || sum <= 0 {
+		return
+	}
 	granted := 0
 	b.rank = b.rank[:0]
 	for i := range b.excess {
-		exact := float64(surplus) * b.excess[i] / excessSum
+		exact := float64(units) * b.excess[i] / sum
 		whole := int(exact)
 		b.out[i] += whole
 		granted += whole
@@ -95,20 +136,28 @@ func (b *Broker) SplitUnits(total int, mgrs []*Manager) []int {
 			b.rank = append(b.rank, i)
 		}
 	}
-	sort.Slice(b.rank, func(x, y int) bool {
-		if b.excess[b.rank[x]] != b.excess[b.rank[y]] {
-			return b.excess[b.rank[x]] > b.excess[b.rank[y]]
+	// Insertion sort by descending remainder, then index: the rank holds
+	// one entry per chip, and sort.Slice would allocate.
+	for x := 1; x < len(b.rank); x++ {
+		for y := x; y > 0 && b.remainderLess(b.rank[y], b.rank[y-1]); y-- {
+			b.rank[y], b.rank[y-1] = b.rank[y-1], b.rank[y]
 		}
-		return b.rank[x] < b.rank[y]
-	})
+	}
 	for _, i := range b.rank {
-		if granted >= surplus {
+		if granted >= units {
 			break
 		}
 		b.out[i]++
 		granted++
 	}
-	return b.out
+}
+
+// remainderLess orders chips for the largest-remainder pass.
+func (b *Broker) remainderLess(i, j int) bool {
+	if b.excess[i] != b.excess[j] {
+		return b.excess[i] > b.excess[j]
+	}
+	return i < j
 }
 
 // SplitWatts divides an available power budget across chips: each chip

@@ -54,6 +54,7 @@ func TestBrokerSplitUnits(t *testing.T) {
 		name  string
 		total int
 		dies  []brokerDie
+		caps  []int // nil: uncapped, as on an advisory daemon
 		want  []int
 	}{
 		{
@@ -135,28 +136,116 @@ func TestBrokerSplitUnits(t *testing.T) {
 			dies: []brokerDie{{apps: 2}, {apps: 2}},
 			want: []int{2, 1},
 		},
+		{
+			name: "one die is capped at its tiles", total: 16,
+			dies: []brokerDie{{apps: 12, oversub: true, demand: 30}},
+			caps: []int{8},
+			want: []int{8},
+		},
+		{
+			name: "one die under a loose cap keeps the pool", total: 16,
+			dies: []brokerDie{{apps: 12, oversub: true, demand: 30}},
+			caps: []int{32},
+			want: []int{16},
+		},
+		{
+			// Uncapped: floors [1 1 1], surplus 27 over excess [39 1 19]
+			// gives [19 1 10]. Die 0 spills 9 over its cap, re-spread by
+			// the demand dies 1 and 2 still lack, [2-1 20-10] = [1 10]
+			// → [+1 +8]; by their first excess [1 19] it would have been
+			// [+0 +9].
+			name: "a cap binds and its surplus follows remaining demand", total: 30,
+			dies: []brokerDie{
+				{apps: 4, oversub: true, demand: 40},
+				{apps: 4, oversub: true, demand: 2},
+				{apps: 4, oversub: true, demand: 20},
+			},
+			caps: []int{10, 30, 30},
+			want: []int{10, 2, 18},
+		},
+		{
+			// Re-spreading can push another die past its cap; the spill
+			// keeps moving until it lands below a cap.
+			name: "a re-spread that overflows spills again", total: 24,
+			dies: []brokerDie{
+				{apps: 4, oversub: true, demand: 40},
+				{apps: 4, oversub: true, demand: 20},
+				{apps: 4, oversub: true, demand: 10},
+			},
+			caps: []int{8, 8, 10},
+			want: []int{8, 8, 8},
+		},
+		{
+			name: "every die capped leaves the surplus unallocated", total: 64,
+			dies: []brokerDie{{apps: 20, oversub: true, demand: 100}, {apps: 20, oversub: true, demand: 100}},
+			caps: []int{8, 8},
+			want: []int{8, 8},
+		},
+		{
+			// floors [2 0 1], surplus 17 over excess [28 0 4] gives
+			// [17 0 3]; die 0's spill of 7 goes to die 2, the only
+			// non-empty die below its cap.
+			name: "an empty die is granted 0 under caps", total: 20,
+			dies: []brokerDie{{apps: 2, demand: 30}, {}, {apps: 1, demand: 5}},
+			caps: []int{10, 10, 10},
+			want: []int{10, 0, 10},
+		},
 	}
 	b := NewBroker()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := b.SplitUnits(tc.total, brokerManagers(t, tc.total, tc.dies))
+			mgrs := brokerManagers(t, tc.total, tc.dies)
+			got := b.SplitUnits(tc.total, mgrs, tc.caps)
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-				t.Fatalf("SplitUnits(%d) = %v, want %v", tc.total, got, tc.want)
+				t.Fatalf("SplitUnits(%d, caps %v) = %v, want %v", tc.total, tc.caps, got, tc.want)
 			}
 			sum := 0
-			for _, u := range got {
+			for i, u := range got {
 				sum += u
+				if tc.caps != nil && u > tc.caps[i] {
+					t.Fatalf("die %d granted %d past its cap %d", i, u, tc.caps[i])
+				}
 			}
 			if sum > tc.total {
 				t.Fatalf("grants %v sum to %d > total %d", got, sum, tc.total)
+			}
+			if tc.caps == nil {
+				// Caps no grant reaches change nothing.
+				loose := make([]int, len(tc.dies))
+				for i := range loose {
+					loose[i] = tc.total
+				}
+				if got := b.SplitUnits(tc.total, mgrs, loose); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+					t.Fatalf("SplitUnits(%d, caps %v) = %v, want the uncapped %v", tc.total, loose, got, tc.want)
+				}
 			}
 		})
 	}
 }
 
-// Seeded sweep over random fleets: grants never exceed the pool, empty
-// dies get nothing, and every non-empty die keeps its floor whenever the
-// pool covers all floors.
+// The split runs on every tick: once its scratch has grown to the fleet,
+// it allocates nothing, capped or not.
+func TestBrokerSplitUnitsAllocationFree(t *testing.T) {
+	mgrs := brokerManagers(t, 64, []brokerDie{
+		{apps: 4, oversub: true, demand: 40},
+		{apps: 4, oversub: true, demand: 20},
+		{apps: 4, oversub: true, demand: 10},
+	})
+	b := NewBroker()
+	caps := []int{8, 8, 10}
+	for _, c := range [][]int{nil, caps} {
+		b.SplitUnits(24, mgrs, c)
+		if n := testing.AllocsPerRun(100, func() { b.SplitUnits(24, mgrs, c) }); n != 0 {
+			t.Fatalf("SplitUnits(caps %v) allocates %g times per call", c, n)
+		}
+	}
+}
+
+// Seeded sweep over random fleets, uncapped and capped: grants never
+// exceed the pool or a die's cap, empty dies get nothing, every
+// non-empty die keeps its floor whenever the pool covers all floors and
+// its cap covers its floor, and units stay unallocated only when every
+// die below its cap already holds its demand.
 func TestBrokerSplitUnitsInvariants(t *testing.T) {
 	rng := sim.NewRNG(7)
 	b := NewBroker()
@@ -177,26 +266,45 @@ func TestBrokerSplitUnitsInvariants(t *testing.T) {
 				floorSum += dies[i].apps
 			}
 		}
-		got := b.SplitUnits(total, brokerManagers(t, 64, dies))
-		sum := 0
-		for i, u := range got {
-			sum += u
-			if u < 0 {
-				t.Fatalf("trial %d: negative grant %v", trial, got)
-			}
-			if dies[i].apps == 0 && u != 0 {
-				t.Fatalf("trial %d: empty die %d granted %d (%v)", trial, i, u, got)
-			}
-			floor := 1
-			if !oversub {
-				floor = dies[i].apps
-			}
-			if dies[i].apps > 0 && floorSum <= total && u < floor {
-				t.Fatalf("trial %d: die %d granted %d below its floor %d (%v)", trial, i, u, floor, got)
-			}
+		caps := make([]int, n)
+		for i := range caps {
+			caps[i] = 1 + rng.Intn(2*total)
 		}
-		if sum > total {
-			t.Fatalf("trial %d: grants %v sum to %d > total %d", trial, got, sum, total)
+		mgrs := brokerManagers(t, 64, dies)
+		for _, caps := range [][]int{nil, caps} {
+			got := b.SplitUnits(total, mgrs, caps)
+			sum := 0
+			for i, u := range got {
+				sum += u
+				if u < 0 {
+					t.Fatalf("trial %d: negative grant %v", trial, got)
+				}
+				if caps != nil && u > caps[i] {
+					t.Fatalf("trial %d: die %d granted %d past its cap %d (%v)", trial, i, u, caps[i], got)
+				}
+				if dies[i].apps == 0 && u != 0 {
+					t.Fatalf("trial %d: empty die %d granted %d (%v)", trial, i, u, got)
+				}
+				floor := 1
+				if !oversub {
+					floor = dies[i].apps
+				}
+				if dies[i].apps > 0 && floorSum <= total && (caps == nil || floor <= caps[i]) && u < floor {
+					t.Fatalf("trial %d: die %d granted %d below its floor %d (%v)", trial, i, u, floor, got)
+				}
+			}
+			if sum > total {
+				t.Fatalf("trial %d: grants %v sum to %d > total %d", trial, got, sum, total)
+			}
+			if sum == total {
+				continue
+			}
+			for i, u := range got {
+				if dies[i].apps > 0 && (caps == nil || u < caps[i]) && dies[i].demand > float64(u)+1e-9 {
+					t.Fatalf("trial %d: %d units unallocated while die %d holds %d of its demand %g (caps %v, grants %v)",
+						trial, total-sum, i, u, dies[i].demand, caps, got)
+				}
+			}
 		}
 	}
 }

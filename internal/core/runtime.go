@@ -107,17 +107,21 @@ type Slice struct {
 // Slices splits a decision period into the at-most-two slices the
 // schedule requires, low-power slice first (SEEC runs the cheap
 // configuration first so a truncated period errs toward saving power).
-func (d Decision) Slices(period float64) []Slice {
+func (d Decision) Slices(period float64) []Slice { return d.AppendSlices(nil, period) }
+
+// AppendSlices appends the period's slices (see Slices) to dst and
+// returns the extended slice, so a caller that schedules every period
+// can reuse one buffer.
+func (d Decision) AppendSlices(dst []Slice, period float64) []Slice {
 	if d.HiFrac >= 1 || d.LoCfg.Equal(d.HiCfg) {
-		return []Slice{{Cfg: d.HiCfg, Duration: period}}
+		return append(dst, Slice{Cfg: d.HiCfg, Duration: period})
 	}
 	if d.HiFrac <= 0 {
-		return []Slice{{Cfg: d.LoCfg, Duration: period}}
+		return append(dst, Slice{Cfg: d.LoCfg, Duration: period})
 	}
-	return []Slice{
-		{Cfg: d.LoCfg, Duration: period * (1 - d.HiFrac)},
-		{Cfg: d.HiCfg, Duration: period * d.HiFrac},
-	}
+	return append(dst,
+		Slice{Cfg: d.LoCfg, Duration: period * (1 - d.HiFrac)},
+		Slice{Cfg: d.HiCfg, Duration: period * d.HiFrac})
 }
 
 // Runtime is the SEEC runtime for one application.

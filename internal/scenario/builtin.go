@@ -123,6 +123,26 @@ func Builtins() []Spec {
 			Budgets: Budgets{MaxFleetRegretFrac: 0.10, MinFleetInBandFrac: 0.60, MaxAppRegretFrac: 0.30},
 		},
 		{
+			// An oversubscribed federation filled before its first tick:
+			// 72 single-core tenants on three 8-tile dies, three to a tile,
+			// under a core pool twice the fleet's tiles. With no contention
+			// pass yet every die prices the same, so only a tenant-aware
+			// placement tie-break spreads them 24 per die, and only a
+			// broker that caps each die's grant at its tiles keeps the
+			// managers from planning shares the ledgers refuse. A third of
+			// a tile meets every goal; a fleet piled onto die 0 (56 / 8 / 8),
+			// or one evenly placed but over-granted, misses most of them.
+			Name: "federation-oversub", Seed: 37, Ticks: 160, TickSeconds: 0.5,
+			Cores: 48, WarmupTicks: 40, Oversubscribe: true,
+			Chips: 3, ChipTiles: 8,
+			Classes: []Class{
+				// BaseRate documents each workload's one-core model heart rate.
+				{Name: "tenant", Workload: "barnes", Count: 48, MinRate: 16, MaxRate: 30, BaseRate: 19.9},
+				{Name: "batch", Workload: "water", Count: 24, MinRate: 16, MaxRate: 40, BaseRate: 23.7},
+			},
+			Budgets: Budgets{MaxFleetRegretFrac: 0.02, MinFleetInBandFrac: 0.95, MaxAppRegretFrac: 0.05},
+		},
+		{
 			// Everything at once: priorities, diurnal churn, a flash crowd
 			// landing during a goal thrash, a phase shift, a crash, and a
 			// mass withdrawal. The budgets are looser than the single-chaos

@@ -39,7 +39,7 @@ func TestScenarioReplayByteIdentical(t *testing.T) {
 		{Shards: 4, TickWorkers: 3},
 		{Shards: 8, TickWorkers: 2},
 	}
-	for _, name := range []string{"flash-crowd", "slo-classes", "crash-restart", "torture", "federation"} {
+	for _, name := range []string{"flash-crowd", "slo-classes", "crash-restart", "torture", "federation", "federation-oversub"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

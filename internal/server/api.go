@@ -246,6 +246,11 @@ type ChipStatusResponse struct {
 	// LedgerFaults counts tile-ledger accounting violations the chip has
 	// caught; any nonzero value is a bug.
 	LedgerFaults uint64 `json:"ledger_faults,omitempty"`
+	// ShareRefusals counts grants the die could not take since the
+	// daemon started: time shares and core-count grows its tile ledger
+	// refused, and broker budgets its manager rejected. The broker caps
+	// each die's grant at its tiles, so a steady fleet keeps it at 0.
+	ShareRefusals uint64 `json:"share_refusals,omitempty"`
 }
 
 // ChipsResponse is the fleet-wide ledger view.

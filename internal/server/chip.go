@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -250,11 +251,18 @@ func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 		d.chipBeats.Add(n)
 	}()
 	var actErr error
+	apply := func(cfg actuator.Config) {
+		err := a.rt.Apply(cfg)
+		if errors.Is(err, angstrom.ErrTilePool) {
+			d.refusals[a.chip].Add(1)
+		}
+		if err != nil && actErr == nil {
+			actErr = err
+		}
+	}
 	t := start
 	for _, sl := range a.pending {
-		if err := a.rt.Apply(sl.Cfg); err != nil && actErr == nil {
-			actErr = err // knob refusals during rebalance are transient
-		}
+		apply(sl.Cfg)
 		t += sl.Duration * dt
 		if t > now {
 			t = now
@@ -277,9 +285,7 @@ func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 	// weighted middle. The settle apply always ratchets one rung toward
 	// that intent.
 	if len(a.settle) > 0 {
-		if err := a.rt.Apply(a.settle); err != nil && actErr == nil {
-			actErr = err
-		}
+		apply(a.settle)
 	}
 	a.mu.Lock()
 	if actErr != nil {
@@ -294,11 +300,13 @@ func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 // per-axis rounded mean of the low and high settings. It is where the
 // knobs should rest between intervals so repeated schedules make
 // monotone progress toward the schedule's intent (see runChipInterval).
-func settleConfig(dec core.Decision) actuator.Config {
+// It is written over dst's backing array, which the app reuses tick to
+// tick.
+func settleConfig(dst actuator.Config, dec core.Decision) actuator.Config {
 	if len(dec.LoCfg) == 0 || len(dec.HiCfg) != len(dec.LoCfg) {
-		return nil
+		return dst[:0]
 	}
-	out := make(actuator.Config, len(dec.LoCfg))
+	out := append(dst[:0], make(actuator.Config, len(dec.LoCfg))...)
 	for i := range dec.LoCfg {
 		w := float64(dec.LoCfg[i])*(1-dec.HiFrac) + float64(dec.HiCfg[i])*dec.HiFrac
 		// Ceil, not round: parking below the weighted level caps the

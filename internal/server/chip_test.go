@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"angstrom/internal/actuator"
 	"angstrom/internal/angstrom"
 	"angstrom/internal/core"
+	"angstrom/internal/heartbeat"
 	"angstrom/internal/workload"
 )
 
@@ -564,5 +566,91 @@ func TestPowerCapOvercommitSurfaced(t *testing.T) {
 	_, starved := run(0.3)
 	if starved.PowerOvercommitW <= 0 {
 		t.Fatal("0.3W budget (below uncore + floors) reports no overcommit")
+	}
+}
+
+// refuseGrow stands in for a full tile ledger at the knob seam: every
+// upward move fails with angstrom.ErrTilePool, as Partition.setConfig
+// reports a core-count grow the die cannot fit.
+type refuseGrow struct {
+	actuator.Knob
+	refused *atomic.Int64
+}
+
+func (k refuseGrow) SetLevel(level int) error {
+	if level > k.Level() {
+		k.refused.Add(1)
+		return angstrom.ErrTilePool
+	}
+	return k.Knob.SetLevel(level)
+}
+
+// Core-count grows the ledger refuses during the advance phase are
+// counted on the die as share refusals, one per refused actuation.
+func TestChipDaemonCountsCoreGrowRefusals(t *testing.T) {
+	var refused atomic.Int64
+	d, err := NewDaemon(Config{
+		Cores: 8, Accel: 0.5, Period: time.Hour,
+		Chip: &ChipConfig{Tiles: 8, KnobWrap: func(_ string, k actuator.Knob) actuator.Knob {
+			if k.Name() != "cores" {
+				return k
+			}
+			return refuseGrow{Knob: k, refused: &refused}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := chipGoal(t, "barnes", 4, 1)
+	if err := d.Enroll(EnrollRequest{Name: "hungry", Workload: "barnes", Window: 64, MinRate: lo, MaxRate: hi}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		d.Tick()
+	}
+	if refused.Load() == 0 {
+		t.Fatal("the controller never asked for another core")
+	}
+	if got := d.ChipStatuses()[0].ShareRefusals; got != uint64(refused.Load()) {
+		t.Fatalf("share_refusals = %d, want the %d refused core grows", got, refused.Load())
+	}
+}
+
+// Time-share grows the tile ledger refuses in the share pass are counted
+// on the die. A partition the manager does not know about holds two of
+// the die's tiles, so the manager's plan over the full grant cannot fit.
+func TestChipDaemonCountsShareRefusals(t *testing.T) {
+	d, err := NewDaemon(Config{
+		Cores: 8, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
+		Chip: &ChipConfig{Tiles: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := chipGoal(t, "water", 1, 1)
+	for i := 0; i < 16; i++ {
+		if err := d.Enroll(EnrollRequest{Name: fmt.Sprintf("app-%02d", i), Workload: "water", Window: 64, MinRate: lo, MaxRate: hi}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if err := d.Withdraw(fmt.Sprintf("app-%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec, err := workload.ByName("water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	intruder := heartbeat.New(d.clock)
+	if _, err := d.fleet.Chip(0).Acquire("intruder", workload.NewInstance(spec, 1), intruder,
+		angstrom.Config{Cores: 2, CacheKB: 32}, 1, d.clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		d.Tick()
+	}
+	if got := d.ChipStatuses()[0].ShareRefusals; got == 0 {
+		t.Fatal("the manager planned past the ledger and no refusal was counted")
 	}
 }

@@ -199,6 +199,10 @@ type app struct {
 	// persisted by snapshots.
 	migratedAt sim.Time
 	units      atomic.Int64
+	// advanced is the tickSeq of the last tick whose advance phase ran
+	// the app's partition (written by its tick worker, read by the tick
+	// goroutine after the phase joins).
+	advanced   uint64
 	pending    []core.Slice
 	settle     actuator.Config
 	nomActiveW float64 // active watts at the nominal configuration
@@ -267,7 +271,19 @@ type Daemon struct {
 	// aggregate corrected demand.
 	mgrs   []*core.Manager
 	broker *core.Broker
-	appSeq uint64 // enrollment counter behind app.seq (under mu)
+	// tileCaps is each die's tile count, the broker's per-die grant cap
+	// (nil for an advisory daemon, whose one manager is uncapped).
+	tileCaps []int
+	// refusals counts, per die, grants the die could not take: time
+	// shares and core-count grows its tile ledger refused, and broker
+	// budgets its manager rejected. Tick workers add to it concurrently.
+	refusals []atomic.Uint64
+	appSeq   uint64 // enrollment counter behind app.seq (under mu)
+	// chipOrder is every attached chip-backed app in name order, kept by
+	// attach and detach (under mu). The tick filters it to the apps its
+	// advance phase ran, so the share and power passes walk the fleet in
+	// an order independent of the shard layout without sorting it.
+	chipOrder []*app
 
 	// The tick's allocation table, indexed by [chip][Manager app ID]
 	// (no string hashing on the per-app path): an entry is valid for
@@ -280,8 +296,10 @@ type Daemon struct {
 	// snapBuf holds the tick's per-shard snapshots: immutable slice
 	// headers published by the directory, valid for the whole tick.
 	snapBuf [][]*app
-	chipBuf [][]*app // reused per-shard chip-app scratch
-	// chipApps is the tick's name-sorted chip-backed fleet, reused
+	// tickSeq numbers tickAt calls (tick goroutine only); app.advanced
+	// is stamped with it.
+	tickSeq uint64
+	// chipApps is the tick's name-ordered chip-backed fleet, reused
 	// across ticks (tick goroutine only); the migration scan reads it
 	// after the tick. loadBuf is the placement/migration ledger scratch.
 	chipApps []*app
@@ -365,7 +383,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		done:    make(chan struct{}),
 	}
 	d.snapBuf = make([][]*app, len(d.dir.shards))
-	d.chipBuf = make([][]*app, len(d.dir.shards))
 	if cfg.Accel > 0 {
 		d.simClock = NewAtomicClock(0)
 		d.clock = d.simClock
@@ -397,7 +414,12 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		}
 		d.loadAvgMem = make([]float64, chips)
 		d.loadAvgNoC = make([]float64, chips)
+		d.tileCaps = make([]int, chips)
+		for i := range d.tileCaps {
+			d.tileCaps[i] = cfg.Chip.Tiles
+		}
 	}
+	d.refusals = make([]atomic.Uint64, chips)
 	d.mgrs = make([]*core.Manager, chips)
 	for i := range d.mgrs {
 		m, err := core.NewManager(d.clock, cfg.Cores)
@@ -673,16 +695,36 @@ func (d *Daemon) attach(a *app, start *angstrom.Config, share float64, now sim.T
 		}
 	}
 	a.mgrID, _ = mgr.AppID(a.name)
+	if start != nil {
+		i := d.chipOrderIndex(a.name)
+		d.chipOrder = append(d.chipOrder, nil)
+		copy(d.chipOrder[i+1:], d.chipOrder[i:])
+		d.chipOrder[i] = a
+	}
 	return nil
 }
 
-// detach is attach's inverse: a leaves its die's manager and releases
-// its partition, if any.
+// detach is attach's inverse: a leaves its die's manager and the name
+// order, and releases its partition, if any.
 //
 //angstrom:journaled writer
 func (d *Daemon) detach(a *app) {
 	d.mgrs[a.chip].RemoveApp(a.name)
+	if a.partition() != nil {
+		for i := d.chipOrderIndex(a.name); i < len(d.chipOrder) && d.chipOrder[i].name == a.name; i++ {
+			if d.chipOrder[i] == a {
+				d.chipOrder = append(d.chipOrder[:i], d.chipOrder[i+1:]...)
+				break
+			}
+		}
+	}
 	d.unbindChip(a)
+}
+
+// chipOrderIndex is the first position in d.chipOrder whose name is not
+// below name (under d.mu).
+func (d *Daemon) chipOrderIndex(name string) int {
+	return sort.Search(len(d.chipOrder), func(i int) bool { return d.chipOrder[i].name >= name })
 }
 
 // publish stamps an attached app's enrollment order and makes it
@@ -966,9 +1008,9 @@ func (d *Daemon) tickAt(now sim.Time) {
 	// previous decision's schedule, so the heartbeats the manager and
 	// controllers are about to read reflect this interval's execution.
 	// Fanned per shard; partitions advance independently.
+	d.tickSeq++
 	if d.fleet != nil {
 		d.dir.forEachShard(d.workers, func(i int) {
-			chips := d.chipBuf[i][:0]
 			for _, a := range d.snapBuf[i] {
 				if a.partition() == nil {
 					continue
@@ -976,25 +1018,23 @@ func (d *Daemon) tickAt(now sim.Time) {
 				if cur, ok := d.lookup(a.name); !ok || cur != a {
 					continue // withdrawn since the snapshot; partition released
 				}
-				chips = append(chips, a)
+				a.advanced = d.tickSeq
 				d.runChipInterval(a, now)
 			}
-			d.chipBuf[i] = chips
 		})
 	}
-	chipApps := d.chipApps[:0]
-	if d.fleet != nil {
-		for i := range d.chipBuf {
-			chipApps = append(chipApps, d.chipBuf[i]...)
-		}
-		// Name order, not shard order: the share-apply and power-cap
-		// passes below interact with the shared tile ledgers, so a stable
-		// order keeps them independent of the shard layout.
-		sort.Slice(chipApps, func(i, j int) bool { return chipApps[i].name < chipApps[j].name })
-	}
-	d.chipApps = chipApps // the post-tick migration scan reads it
 
 	d.mu.Lock()
+	// Name order, not shard order: the share-apply and power-cap passes
+	// below interact with the shared tile ledgers, so a stable order
+	// keeps them independent of the shard layout.
+	chipApps := d.chipApps[:0]
+	for _, a := range d.chipOrder {
+		if a.advanced == d.tickSeq {
+			chipApps = append(chipApps, a)
+		}
+	}
+	d.chipApps = chipApps // the post-tick migration scan reads it
 	// Fold this tick's offered utilization into the per-die EWMAs the
 	// migration scan prices (under d.mu so snapshots capture a
 	// consistent value; replayed ticks rebuild it identically).
@@ -1011,13 +1051,16 @@ func (d *Daemon) tickAt(now sim.Time) {
 		d.mgrs[a.chip].SetInterference(a.name, a.partition().Interference().Slowdown)
 	}
 	// Broker pass: split the global core pool across the per-chip
-	// managers by last tick's aggregate corrected demand. A single
-	// manager is granted the full pool (the broker's n == 1 identity),
-	// which is exactly its unset budget.
-	units := d.broker.SplitUnits(d.cfg.Cores, d.mgrs)
+	// managers by last tick's aggregate corrected demand, no die past
+	// its tiles. A single manager is granted the full pool up to its
+	// tiles (the broker's n == 1 identity); an advisory daemon's one
+	// manager gets the whole pool, exactly its unset budget.
+	units := d.broker.SplitUnits(d.cfg.Cores, d.mgrs, d.tileCaps)
 	for i, m := range d.mgrs {
 		if m.Apps() > 0 {
-			_ = m.SetBudget(units[i])
+			if err := m.SetBudget(units[i]); err != nil {
+				d.refusals[i].Add(1)
+			}
 		}
 	}
 	// Publish each manager's allocations into its ID-indexed table:
@@ -1063,7 +1106,12 @@ func (d *Daemon) tickAt(now sim.Time) {
 			part := a.partition()
 			cur := part.Share()
 			if (pass == 0 && al.Share < cur) || (pass == 1 && al.Share > cur) {
-				_ = part.SetShare(al.Share) // transient refusals heal next tick
+				// Shares arrive clamped to (0, 1] and every app here holds
+				// a live partition (withdrawals wait for d.mu), so a ledger
+				// refusal is the only error SetShare can return.
+				if errors.Is(part.SetShare(al.Share), angstrom.ErrTilePool) {
+					d.refusals[a.chip].Add(1)
+				}
 			}
 		}
 	}
@@ -1190,10 +1238,10 @@ func (d *Daemon) decide(a *app, al core.Allocation, hasAlloc bool) {
 	}
 	a.mu.Unlock()
 	if a.partition() != nil && err == nil {
-		// Slices(1) yields fractions of the next interval; the next
-		// tick scales them by the real elapsed time.
-		a.pending = dec.Slices(1)
-		a.settle = settleConfig(dec)
+		// Slices of period 1 are fractions of the next interval; the
+		// next tick scales them by the real elapsed time.
+		a.pending = dec.AppendSlices(a.pending[:0], 1)
+		a.settle = settleConfig(a.settle, dec)
 	}
 }
 
@@ -1376,6 +1424,7 @@ func (d *Daemon) chipStatusAt(i int) ChipStatusResponse {
 		NoCRho:            c.NoCRho,
 		MemBandwidthScale: sc.MemBandwidthScale(),
 		LedgerFaults:      sc.LedgerFaults(),
+		ShareRefusals:     d.refusals[i].Load(),
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 
 // coreLoadWeight blends tile pressure into the placement score: rho
 // dominates (the unpartitionable resources are what co-location
-// poisons), core occupancy breaks near-ties toward the emptier die.
+// poisons), occupancy breaks near-ties toward the emptier die.
 const coreLoadWeight = 0.1
 
 // migrateHysteresis is how much a migration must improve the worse of
@@ -73,7 +73,8 @@ func (d *Daemon) tickSimSeconds() float64 {
 // placeChip picks the die for a new enrollment: the candidate's
 // full-rate demand (base-configuration bytes/s and flit-hops/s) is
 // added to each die's measured aggregate, and the die with the lowest
-// predicted max(mem rho, NoC rho) — tile pressure as tie-break — wins.
+// predicted max(mem rho, NoC rho) — occupancy by tenants and
+// core-equivalents as tie-break — wins.
 // Dies without a whole free tile are skipped unless the daemon
 // oversubscribes; if every die is skipped the one with the most
 // fractional headroom is used (admission then decides). Called with
@@ -100,7 +101,13 @@ func (d *Daemon) placeChip(spec workload.Spec) int {
 			continue
 		}
 		mem, noc := l.PredictedRho(memBps, flitHops)
-		score := math.Max(mem, noc) + coreLoadWeight*l.CoreEquivalents/float64(l.Tiles)
+		// Occupancy counts tenants as well as core-equivalents: a full
+		// oversubscribed die sits at CoreEquivalents == Tiles however
+		// many tenants share it, so only the tenant count keeps spreading
+		// them. On a space-shared die every tenant holds at least one
+		// core, and this is the core occupancy alone.
+		occ := math.Max(l.CoreEquivalents, float64(l.Partitions)) / float64(l.Tiles)
+		score := math.Max(mem, noc) + coreLoadWeight*occ
 		if score < bestScore {
 			best, bestScore = i, score
 		}

@@ -91,3 +91,71 @@ func TestMigrationRollsBackWhenTargetIsFull(t *testing.T) {
 		t.Fatalf("migrations = %d, want 1", d.Migrations())
 	}
 }
+
+// On the oversubscribed 10k-app, four-die fleet (1,024 tiles each, a
+// 4,096-core pool), enrollment spreads tenants evenly and the broker
+// never grants a die more than its tiles: partitions per die sit within
+// 1% of even after the fill; on every tick each die's manager budget
+// and ledger usage stay within its tiles, no ledger faults appear, and
+// no die refuses a grant — through two withdraw/re-enroll pairs per
+// tick and a die saturated mid-run.
+func TestFederatedFleetStaysWithinTiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k-app fleet")
+	}
+	const apps, chips, tiles, ticks = 10000, 4, 1024, 8
+	d, err := NewDaemon(Config{
+		Cores: chips * tiles, Accel: 0.1, Period: time.Hour, Oversubscribe: true,
+		Chip: &ChipConfig{Chips: chips, Tiles: tiles},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wls := []string{"barnes", "ocean", "raytrace", "water", "volrend"}
+	enroll := func(i int) {
+		t.Helper()
+		if err := d.Enroll(EnrollRequest{
+			Name: fmt.Sprintf("app-%05d", i), Workload: wls[i%len(wls)],
+			Window: 256, MinRate: 20, MaxRate: 30,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < apps; i++ {
+		enroll(i)
+	}
+	for _, cs := range d.ChipStatuses() {
+		if even := apps / chips; cs.Partitions < even*99/100 || cs.Partitions > even*101/100 {
+			t.Fatalf("die %d holds %d partitions after the fill, want %d ± 1%%", cs.Chip, cs.Partitions, even)
+		}
+	}
+	for k := 0; k < ticks; k++ {
+		if k == ticks/2 {
+			if err := d.SaturateChip(k%chips, 0.35); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j < 2; j++ {
+			i := (k*2 + j) * 97 % apps
+			if err := d.Withdraw(fmt.Sprintf("app-%05d", i)); err != nil {
+				t.Fatal(err)
+			}
+			enroll(i)
+		}
+		d.Tick()
+		for _, cs := range d.ChipStatuses() {
+			if b := d.mgrs[cs.Chip].Budget(); b > cs.Tiles {
+				t.Fatalf("tick %d: die %d granted %d units on %d tiles", k, cs.Chip, b, cs.Tiles)
+			}
+			if _, used := d.fleet.Chip(cs.Chip).Usage(); used > float64(cs.Tiles)+1e-6 {
+				t.Fatalf("tick %d: die %d uses %g core-equivalents of %d tiles", k, cs.Chip, used, cs.Tiles)
+			}
+			if cs.LedgerFaults != 0 {
+				t.Fatalf("tick %d: die %d has %d ledger faults", k, cs.Chip, cs.LedgerFaults)
+			}
+			if cs.ShareRefusals != 0 {
+				t.Fatalf("tick %d: die %d refused %d grants", k, cs.Chip, cs.ShareRefusals)
+			}
+		}
+	}
+}

@@ -11,27 +11,50 @@ import (
 )
 
 // oneDieHash pins the one-die chip daemon's observable state after a
-// seeded, oversubscribed, power-budgeted run. It was recorded on
-// linux/amd64 against the daemon that still special-cased one die (the
-// tick skipped the broker pass when only one manager existed, and the
-// power rebalance bypassed the broker's watt split), then checked
-// unchanged after both went through the fleet path: for one die the
-// broker is the identity, so the fleet path must reproduce it bit for
-// bit.
-const oneDieHash = "cfd8fe1f436e08deb03fe806380b0a03233b94a1eba97da5f90ed9c1ed3d6141"
+// seeded, oversubscribed, power-budgeted run whose core pool (16) is
+// twice the die's tiles (8). Before the broker capped each die's grant
+// at its tiles, the one manager planned time shares for 16 units on 8
+// tiles and the ledger refused 600 Partition.SetShare grows over the 50
+// ticks — every app on every tick — and the state hashed to
+// cfd8fe1f436e08deb03fe806380b0a03233b94a1eba97da5f90ed9c1ed3d6141. The
+// hash was re-recorded on linux/amd64 once the grant became
+// min(pool, tiles) = 8, and checked over three runs each under
+// GOMAXPROCS=1 and -race; the run now refuses nothing (the test asserts
+// it). It equals oneDieFitHash: once capped, a pool beyond the die's
+// tiles has nothing left to move.
+const oneDieHash = "5fd0318e0496018812e21ca799a49f3b936ad4fc7bff449d57139ad1a118d51f"
+
+// oneDieFitHash pins the same run with a core pool equal to the die's
+// tiles, where no grant can exceed the die. It was recorded against the
+// daemon that still granted the uncapped pool and must not move: the
+// cap changes the one-die path only where it binds.
+const oneDieFitHash = "5fd0318e0496018812e21ca799a49f3b936ad4fc7bff449d57139ad1a118d51f"
 
 // TestOneDieCharacterization runs ~50 accelerated ticks on one die with
-// more apps than tiles (so the broker pass and the per-die power split
-// both have work) and compares the sha256 of the statuses, the die
-// ledger, and the tick counters against oneDieHash.
+// more apps than tiles and a core pool twice the tiles (so the broker
+// cap, the broker pass and the per-die power split all have work) and
+// compares the sha256 of the statuses, the die ledger, and the tick
+// counters against oneDieHash.
 func TestOneDieCharacterization(t *testing.T) {
+	checkOneDieHash(t, 16, oneDieHash)
+}
+
+// TestOneDieCharacterizationWithinTiles is the twin with Cores equal to
+// Tiles: the capped broker grants exactly the pool, so the state must
+// match the uncapped daemon's bit for bit.
+func TestOneDieCharacterizationWithinTiles(t *testing.T) {
+	checkOneDieHash(t, 8, oneDieFitHash)
+}
+
+func checkOneDieHash(t *testing.T, cores int, want string) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		// Other architectures may fuse multiply-adds, which moves the
 		// low bits of the float state the hash covers.
 		t.Skipf("hash recorded on amd64, running on %s", runtime.GOARCH)
 	}
 	d, err := NewDaemon(Config{
-		Cores: 16, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
+		Cores: cores, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
 		Shards: 4, TickWorkers: 2,
 		Chip: &ChipConfig{Tiles: 8, PowerBudgetW: 4},
 	})
@@ -53,18 +76,22 @@ func TestOneDieCharacterization(t *testing.T) {
 		d.Tick()
 	}
 	st := d.Stats()
+	chips := d.ChipStatuses()
+	if n := chips[0].ShareRefusals; n != 0 {
+		t.Fatalf("the die refused %d grants", n)
+	}
 	blob, err := json.Marshal(struct {
 		Apps                    []AppStatus
 		Chips                   []ChipStatusResponse
 		Ticks, Beats, Decisions uint64
 		PowerOvercommitW        float64
-	}{d.List(), d.ChipStatuses(), st.Ticks, st.Beats, st.Decisions, st.PowerOvercommitW})
+	}{d.List(), chips, st.Ticks, st.Beats, st.Decisions, st.PowerOvercommitW})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(blob)
-	if got := hex.EncodeToString(sum[:]); got != oneDieHash {
+	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("one-die state hash %s, want %s (ticks=%d beats=%d decisions=%d overcommit=%gW)",
-			got, oneDieHash, st.Ticks, st.Beats, st.Decisions, st.PowerOvercommitW)
+			got, want, st.Ticks, st.Beats, st.Decisions, st.PowerOvercommitW)
 	}
 }
